@@ -66,7 +66,7 @@ def moebius_up_to(n: int) -> np.ndarray:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's variant; n must be odd composite and not a prime power handled upstream.
+    # Pollard rho with Floyd cycle detection on x -> x^2 + c; n must be an odd composite.
     if n % 2 == 0:
         return 2
     for c in range(1, 20):
@@ -86,7 +86,7 @@ _SPF_CACHE_LIMIT = 1 << 20
 _spf_cache: np.ndarray | None = None
 
 
-def _spf(n: int) -> np.ndarray:
+def _spf() -> np.ndarray:
     global _spf_cache
     if _spf_cache is None:
         _spf_cache = smallest_prime_factors(_SPF_CACHE_LIMIT)
@@ -102,7 +102,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 2:
         return out
     if n <= _SPF_CACHE_LIMIT:
-        spf = _spf(n)
+        spf = _spf()
         while n > 1:
             p = int(spf[n])
             e = 0

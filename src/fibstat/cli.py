@@ -41,13 +41,13 @@ from .stats import (
     moments,
     record_set,
     sample_records,
+    sigma_entries,
     sigma_partial_sums,
     standardized_values,
     tau_histogram,
     tau_limit_prediction,
 )
-from .families import SigmaTable, conic_sigma_formula
-from .arith import primes_up_to
+from .families import SigmaTable
 
 __all__ = ["RunConfig", "main", "run", "read_report", "ConfigError"]
 
@@ -372,11 +372,11 @@ def _run_enumerate(cfg: RunConfig):
 
 def _run_sigma(cfg: RunConfig):
     fam = family_by_name(cfg.family)
-    if fam.name != "diagonal_conics":
-        raise ConfigError("sigma needs a family with exact entries (diagonal conics)")
-    entries = {int(p): conic_sigma_formula(int(p)) for p in primes_up_to(cfg.B) if p > 2}
+    if fam.sigma_p is None:
+        raise ConfigError(f"sigma needs a family with exact entries; {fam.name} has none")
+    entries = sigma_entries(fam, cfg.B)
     if len(entries) < 25:
-        raise ConfigError("sigma needs B large enough for at least 25 odd primes")
+        raise ConfigError(f"sigma needs B large enough for at least 25 primes above {fam.A}")
     fit = sigma_partial_sums(entries, fam.Delta)
     meta = {"B": cfg.B, "beta": repr(fit.beta), "family": fam.name}
     rows = [

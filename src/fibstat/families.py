@@ -3,10 +3,12 @@
 Two built-in fibrations over projective coefficient space: diagonal plane
 conics a x^2 + b y^2 = c z^2 and diagonal cubic surfaces
 y_0 x_0^3 + y_1 x_1^3 + y_2 x_2^3 + y_3 x_3^3 = 0.  A FamilyDescriptor
-bundles everything the statistics layer needs: the discriminant form f
-cutting out the bad fibres, a bad-prime bound A, the growth constant Delta
-(validated against the declared divisor actions), the per-place
-insolubility test theta, and a smooth-fibre test.
+bundles everything the statistics layer needs: the discriminant form f (the
+product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
+bad-prime bound A, the growth constant Delta (validated against the declared
+divisor actions), the scalar per-place insolubility test theta, and the
+hooks the vectorized paths run on: theta_grid, stable_margin and an
+optional exact sigma_p.
 
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
@@ -15,7 +17,9 @@ empirically.
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
-and omega_pi turns that into a tainted record.
+and omega_pi turns that into a tainted record.  Scans, samples, density
+estimates and calibration all decide through theta_grid; the scalar theta,
+omega_pi and CubicDecider.decide are the reference tests hold them to.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ from .localsolve import (
     hilbert,
     legendre,
     padic_point_search,
-    real_soluble,
 )
-from .projective import ProjPoint, point_slabs, proj_size
+from .projective import ProjPoint, point_slabs, proj_size, residue_classes
 
 __all__ = [
     "Undecided",
@@ -107,25 +110,34 @@ class ObstructionRecord:
 class FamilyDescriptor:
     """A fibration over P^n presented as data.
 
-    f is the discriminant form: away from f = 0 (and primes <= A) fibres
-    are everywhere locally soluble.  Delta is the declared growth constant,
-    checked at construction against the divisor action data.
+    f is the discriminant form, the product of the coordinates: away from
+    f = 0 (and primes <= A) fibres are everywhere locally soluble, so the
+    places that can obstruct at x are the primes <= A, the primes dividing
+    some coordinate, and the real place.  Delta is the declared growth
+    constant, checked at construction against the divisor action data.
+
+    theta_grid(rows, v) is theta over an (N, n+1) array of nonzero rows, as
+    int8: 0 soluble, 1 insoluble, 2 undecided.  stable_margin(p) is how far
+    below the sampling depth each coordinate's valuation must stay for a
+    residue disk's verdict to be constant across lifts.  sigma_p, when
+    present, gives the exact local density at primes p > A.
     """
 
     name: str
     n: int
     f: HomogeneousForm
-    degree_f: int
     A: int
     Delta: Fraction
     theta: Callable[[Sequence[int], Place], bool]
-    smooth: Callable[[Sequence[int]], bool]
+    theta_grid: Callable[[np.ndarray, Place], np.ndarray]
+    stable_margin: Callable[[int], int]
     divisors: tuple[ComponentAction, ...]
     nonsplit: Optional[Callable[[Sequence[int], int], bool]] = None
+    sigma_p: Optional[Callable[[int], Fraction]] = None
 
     def __post_init__(self):
-        if self.f.nvars != self.n + 1 or self.f.degree != self.degree_f:
-            raise ValueError("discriminant form shape mismatch")
+        if self.f.monomials != ((1, (1,) * (self.n + 1)),):
+            raise ValueError("discriminant form must be the product of the coordinates")
         if self.A < 2:
             raise ValueError("bad-prime bound must be at least 2")
         declared = delta_total(self.divisors)
@@ -133,6 +145,10 @@ class FamilyDescriptor:
             raise ValueError(
                 f"Delta {self.Delta} disagrees with divisor data {declared}"
             )
+
+    def smooth(self, x) -> bool:
+        """Is the fibre over x smooth?  f(x) != 0, i.e. no zero coordinate."""
+        return all(v != 0 for v in _coords(x))
 
 
 @dataclass(frozen=True)
@@ -164,14 +180,11 @@ def _coords(x) -> tuple[int, ...]:
 
 def _conic_theta(x, place: Place) -> bool:
     a, b, c = _coords(x)
-    if place == INF:
-        return not real_soluble("diagonal_conics", (a, b, c))
     return not conic_soluble(a, b, c, place)
 
 
-def _conic_smooth(x) -> bool:
-    a, b, c = _coords(x)
-    return a * b * c != 0
+def _conic_theta_grid(rows: np.ndarray, place: Place) -> np.ndarray:
+    return conic_insoluble_grid(rows, place).view(np.int8)
 
 
 def _conic_nonsplit(res: Sequence[int], p: int) -> bool:
@@ -209,13 +222,16 @@ def diagonal_conics() -> FamilyDescriptor:
         name="diagonal_conics",
         n=2,
         f=f,
-        degree_f=3,
         A=2,
         Delta=Fraction(3, 2),
         theta=_conic_theta,
-        smooth=_conic_smooth,
+        theta_grid=_conic_theta_grid,
+        # unit parts matter mod 8 at p = 2, mod p elsewhere
+        stable_margin=lambda p: 3 if p == 2 else 1,
         divisors=tuple(load_bundled_actions("conic_action.txt").values()),
         nonsplit=_conic_nonsplit,
+        # a module-level lookup per call, so a wrapper patched onto the module sees it
+        sigma_p=lambda p: conic_sigma_formula(p),
     )
 
 
@@ -224,22 +240,26 @@ def diagonal_conics() -> FamilyDescriptor:
 
 
 def _strip(col: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    # returns (valuation, unit part); col entries must be nonzero
+    # returns (valuation, unit part).  A nonzero int64 has valuation at most
+    # 63, so an entry still divisible after 64 passes is a zero.
     col = col.astype(np.int64, copy=True)
     val = np.zeros(col.shape, dtype=np.int64)
     idx = np.nonzero(col % p == 0)[0]
-    while idx.size:
+    for _ in range(64):
+        if not idx.size:
+            return val, col
         col[idx] //= p
         val[idx] += 1
         idx = idx[col[idx] % p == 0]
-    return val, col
+    raise ValueError("zero entry has no p-adic valuation")
 
 
 def conic_insoluble_grid(coeffs: np.ndarray, place: Place) -> np.ndarray:
     """Vectorized theta for the conic family: a boolean per coefficient row.
 
-    coeffs is an (N, 3) integer array with no zero entries.  Agrees with
-    the scalar Hilbert-symbol route entry by entry.
+    coeffs is an (N, 3) integer array with no zero entries (a zero raises
+    ValueError at a finite place).  Agrees with the scalar Hilbert-symbol
+    route entry by entry.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
@@ -440,7 +460,7 @@ class CubicDecider:
     def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
 
-        coeffs is (N, 4) with nonzero entries.
+        coeffs is (N, 4) with nonzero entries; a zero raises ValueError.
         """
         p = self.p
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -481,8 +501,10 @@ def _cubic_theta(x, place: Place) -> bool:
     return verdict is Solubility.INSOLUBLE
 
 
-def _cubic_smooth(x) -> bool:
-    return all(v != 0 for v in _coords(x))
+def _cubic_theta_grid(rows: np.ndarray, place: Place) -> np.ndarray:
+    if place == INF:
+        return np.zeros(len(rows), np.int8)
+    return _cubic_decider(int(place)).decide_grid(rows)
 
 
 def _pseudo_split_divisor() -> ComponentAction:
@@ -496,11 +518,12 @@ def diagonal_cubics() -> FamilyDescriptor:
         name="diagonal_cubics",
         n=3,
         f=HomogeneousForm(4, 4, ((1, (1, 1, 1, 1)),)),
-        degree_f=4,
         A=3,
         Delta=Fraction(0),
         theta=_cubic_theta,
-        smooth=_cubic_smooth,
+        theta_grid=_cubic_theta_grid,
+        # cube classes of units are read mod 9 at p = 3, mod p elsewhere
+        stable_margin=lambda p: 2 if p == 3 else 1,
         divisors=tuple(_pseudo_split_divisor() for _ in range(4)),
     )
 
@@ -522,18 +545,11 @@ def family_by_name(name: str) -> FamilyDescriptor:
 # omega: insoluble places of one fibre
 
 
-def _f_is_coordinate_product(family: FamilyDescriptor) -> bool:
-    return family.f.monomials == ((1, tuple([1] * (family.n + 1))),)
-
-
 def _candidate_places(family: FamilyDescriptor, coords: tuple[int, ...]) -> list[Place]:
     support: set[int] = set(int(p) for p in primes_up_to(family.A))
-    if _f_is_coordinate_product(family):
-        # factoring each small coordinate beats factoring their product
-        for v in coords:
-            support.update(factorize(v))
-    else:
-        support.update(factorize(family.f.evaluate(coords)))
+    # f is the coordinate product: factoring each coordinate beats factoring f(x)
+    for v in coords:
+        support.update(factorize(v))
     places: list[Place] = sorted(support)
     places.append(INF)
     return places
@@ -591,13 +607,6 @@ def omega_formula_conics(a: int, b: int, c: int) -> int:
 # sigma_p
 
 
-def _fp_projective_reps(n: int, p: int):
-    # one representative per point of P^n(F_p): leading nonzero entry 1
-    for zeros in range(n + 1):
-        for tail in itertools.product(range(p), repeat=n - zeros):
-            yield (0,) * zeros + (1,) + tail
-
-
 def sigma_exact(family: FamilyDescriptor, p: int) -> Fraction:
     """Exact density of non-split fibres over P^n(F_p).
 
@@ -614,7 +623,7 @@ def sigma_exact(family: FamilyDescriptor, p: int) -> Fraction:
         raise ValueError("p must be prime")
     if p == 2:
         raise ValueError("p = 2 is excluded from the residue classification")
-    count = sum(1 for rep in _fp_projective_reps(family.n, p) if family.nonsplit(rep, p))
+    count = sum(1 for cls in residue_classes(family.n, p) if family.nonsplit(cls.coords, p))
     return Fraction(count, proj_size(family.n, p))
 
 
@@ -641,9 +650,10 @@ def sigma_empirical(
 
     Disks are uniform on primitive coefficient vectors mod p^depth.  A disk
     whose verdict is not constant across lifts (some coordinate vanishing
-    to the full depth, or too shallow to pin the unit class) counts as
-    unknown, as does an undecided search; unknowns are reported separately
-    and not folded into the value.
+    to the full depth, or with valuation above depth - stable_margin(p),
+    too shallow to pin the unit class) counts as unknown, as does an
+    undecided verdict; unknowns are reported separately and not folded into
+    the value.  The remaining disks are decided by one theta_grid call.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
@@ -663,28 +673,12 @@ def sigma_empirical(
         rows = np.concatenate([rows, batch.astype(np.int64)])
     rows = rows[:sample_size]
 
-    # a coordinate pins its verdict-relevant data only to this depth
-    if family.name == "diagonal_conics":
-        stable_margin = 3 if p == 2 else 1
-    else:
-        stable_margin = 2 if p == 3 else 1
-
-    insoluble = 0
-    unknown = 0
-    for row in rows:
-        coords = [int(v) for v in row]
-        depths_ok = all(
-            v != 0 and valuation(v, p) + stable_margin <= precision_depth
-            for v in coords
-        )
-        if not depths_ok:
-            unknown += 1
-            continue
-        try:
-            if family.theta(coords, p):
-                insoluble += 1
-        except Undecided:
-            unknown += 1
+    # valuation(v) <= depth - margin, and v != 0, iff p^(depth - margin + 1) does not divide v
+    stable = p ** max(0, precision_depth - family.stable_margin(p) + 1)
+    decided = rows[(rows % stable != 0).all(axis=1)]
+    verdicts = family.theta_grid(decided, p)
+    insoluble = int((verdicts == 1).sum())
+    unknown = sample_size - len(decided) + int((verdicts == 2).sum())
     q = insoluble / sample_size
     return DiskDensityEstimate(
         prime=p,
@@ -796,9 +790,9 @@ def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> Calibration
     """Smallest bound A such that no tested prime p in (A, p_max] with
     p not dividing f(x) obstructs any smooth fibre of height <= B_cal.
 
-    Exhaustive over all points of P^n(Q) with height <= B_cal.  Both
-    built-in families run on a vectorized path; the result reports every
-    exception found (all at primes <= A).
+    Exhaustive over all points of P^n(Q) with height <= B_cal, decided per
+    prime by one theta_grid call on each slab's rows coprime to p; the
+    result reports every exception found (all at primes <= A).
     """
     if p_max < 2 or B_cal < 1:
         raise ValueError("need p_max >= 2 and B_cal >= 1")
@@ -808,41 +802,16 @@ def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> Calibration
     undecided: dict[int, ProjPoint] = {}
 
     for slab in point_slabs(family.n, B_cal):
-        smooth_mask = (slab != 0).all(axis=1)
-        rows = slab[smooth_mask]
+        rows = slab[(slab != 0).all(axis=1)]
         if len(rows) == 0:
             continue
-        product_f = _f_is_coordinate_product(family)
         for p in primes:
-            if product_f:
-                coprime = (rows % p != 0).all(axis=1)
-            else:
-                coprime = np.array(
-                    [family.f.evaluate(tuple(row)) % p != 0 for row in rows]
-                )
-            cand = rows[coprime]
+            cand = rows[(rows % p != 0).all(axis=1)]
             if len(cand) == 0:
                 continue
-            if family.name == "diagonal_conics":
-                hit = conic_insoluble_grid(cand, p)
-                bad_rows = cand[hit]
-                und_rows = cand[:0]
-            elif family.name == "diagonal_cubics":
-                verdicts = _cubic_decider(p).decide_grid(cand)
-                bad_rows = cand[verdicts == 1]
-                und_rows = cand[verdicts == 2]
-            else:
-                flags = []
-                und = []
-                for row in cand:
-                    try:
-                        flags.append(family.theta(tuple(row), p))
-                        und.append(False)
-                    except Undecided:
-                        flags.append(False)
-                        und.append(True)
-                bad_rows = cand[np.array(flags, dtype=bool)]
-                und_rows = cand[np.array(und, dtype=bool)]
+            verdicts = family.theta_grid(cand, p)
+            bad_rows = cand[verdicts == 1]
+            und_rows = cand[verdicts == 2]
             if len(und_rows) and p not in undecided:
                 undecided[p] = ProjPoint.from_vector(und_rows[0])
             if len(bad_rows):

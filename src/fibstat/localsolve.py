@@ -28,8 +28,6 @@ __all__ = [
     "hilbert_reciprocity_check",
     "conic_soluble",
     "is_kth_power_residue",
-    "cubic_criterion",
-    "real_soluble",
     "HomogeneousForm",
     "Solubility",
     "SolubilityVerdict",
@@ -142,39 +140,6 @@ def is_kth_power_residue(a: int, p: int, k: int) -> bool:
     return pow(a % p, (p - 1) // g, p) == 1
 
 
-def cubic_criterion(y: Iterable[int], p: int) -> bool:
-    """Sufficient insolubility test for sum y_i x_i^3 = 0 over Q_p.
-
-    True when p = 1 mod 3, p divides neither y0 nor y1, p divides y2 and y3
-    exactly once, and neither -y1/y0 nor -y3/y2 is a cube mod p.  A True
-    verdict guarantees the surface has no Q_p-point.
-    """
-    y0, y1, y2, y3 = (int(t) for t in y)
-    if not is_prime(p) or p % 3 != 1:
-        return False
-    if y0 % p == 0 or y1 % p == 0:
-        return False
-    if y2 == 0 or y3 == 0 or valuation(y2, p) != 1 or valuation(y3, p) != 1:
-        return False
-    inv0 = pow(y0 % p, p - 2, p)
-    inv2 = pow((y2 // p) % p, p - 2, p)
-    r1 = (-y1 * inv0) % p
-    r3 = (-(y3 // p) * inv2) % p
-    return not is_kth_power_residue(r1, p, 3) and not is_kth_power_residue(r3, p, 3)
-
-
-def real_soluble(family: str, coords: Iterable[int]) -> bool:
-    """Solubility of the fibre over the reals, by family."""
-    coords = tuple(int(v) for v in coords)
-    if family == "diagonal_conics":
-        a, b, c = coords
-        signs = {x > 0 for x in (a, b, -c)}
-        return len(signs) == 2  # indefinite iff both signs occur
-    if family == "diagonal_cubics":
-        return True  # odd degree
-    raise ValueError(f"unknown family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # homogeneous forms and the residue-tree search
 
@@ -208,25 +173,13 @@ class HomogeneousForm:
         return HomogeneousForm(len(coeffs), degree, tuple(mons))
 
     def evaluate(self, vec: Iterable[int]) -> int:
-        vec = tuple(vec)
-        total = 0
-        for c, exps in self.monomials:
-            term = c
-            for x, e in zip(vec, exps):
-                term *= x**e
-            total += term
-        return total
+        return _poly_eval(_form_to_poly(self), tuple(vec))
 
     def partial(self, i: int) -> Optional["HomogeneousForm"]:
-        mons = []
-        for c, exps in self.monomials:
-            if exps[i] > 0:
-                new = list(exps)
-                new[i] -= 1
-                mons.append((c * exps[i], tuple(new)))
+        mons = tuple((c, e) for e, c in _poly_partial(_form_to_poly(self), i).items())
         if not mons:
             return None
-        return HomogeneousForm(self.nvars, self.degree - 1, tuple(mons))
+        return HomogeneousForm(self.nvars, self.degree - 1, mons)
 
     def coefficient_valuation_sum(self, p: int) -> int:
         return sum(valuation(c, p) for c, _ in self.monomials)

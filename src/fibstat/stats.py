@@ -14,6 +14,7 @@ the integers up to a bound, pushed through the same reductions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,19 +26,17 @@ from scipy.stats import norm as _norm
 
 from .arith import factorize, is_prime, primes_up_to
 from .families import (
-    CubicDecider,
     DiskDensityEstimate,
     FamilyDescriptor,
     ObstructionRecord,
     SigmaTable,
-    conic_insoluble_grid,
-    conic_sigma_formula,
     diagonal_cubics,
+    family_by_name,
     omega_pi,
     sigma_empirical,
 )
 from .localsolve import INF, Place
-from .projective import ProjPoint, count_points, enumerate_points, point_slabs
+from .projective import count_points, enumerate_points, point_slabs
 
 __all__ = [
     "RecordSet",
@@ -57,6 +56,7 @@ __all__ = [
     "tau_histogram",
     "n_moments",
     "build_sigma_table",
+    "sigma_entries",
     "sigma_partial_sums",
     "standardized_values",
     "gaussian_distance",
@@ -200,77 +200,53 @@ def scan(family: FamilyDescriptor, B: int, S=(INF,)):
     return records, ScanSummary(points, singular, tainted)
 
 
-def _conic_slab_omega(rows: np.ndarray, primes: Sequence[int], S: tuple) -> np.ndarray:
-    om = np.zeros(len(rows), np.int64)
-    if 2 not in S:
-        om += conic_insoluble_grid(rows, 2)
-    for p in primes:
-        if p in S:
-            continue
-        mask = (rows % p == 0).any(axis=1)
-        if mask.any():
-            om[mask] += conic_insoluble_grid(rows[mask], p)
-    if INF not in S:
-        om += conic_insoluble_grid(rows, INF)
-    return om
+# one scatter per place: insoluble verdicts count in the low 32 bits of a
+# row's tally, undecided ones in the bits above
+_TALLY = np.array([0, 1, 1 << 32], np.int64)
+_INSOLUBLE_MASK = (1 << 32) - 1
 
 
-def _cubic_slab_omega(rows, deciders: dict, S: tuple):
-    om = np.zeros(len(rows), np.int64)
-    taint = np.zeros(len(rows), bool)
-    for p, dec in deciders.items():
-        if p in S:
-            continue
-        if p <= 3:
-            mask = np.ones(len(rows), bool)
-        else:
-            mask = (rows % p == 0).any(axis=1)
-            if not mask.any():
-                continue
-        verdict = dec.decide_grid(rows[mask])
-        om[mask] += verdict == 1
-        taint[mask] |= verdict == 2
-    # the real place never obstructs an odd-degree form
-    return om, taint
+def _block_omega(family: FamilyDescriptor, rows: np.ndarray, support, S: tuple):
+    """omega and taint of a block of smooth rows, from the theta_grid hook.
+
+    Primes <= family.A and the real place are tested on every row; support
+    yields (p, rows p divides) for the primes p > A, so each is tested only
+    where it can obstruct.  Places in S are skipped.
+    """
+    tally = np.zeros(len(rows), np.int64)
+    everywhere = [(int(p), slice(None)) for p in primes_up_to(family.A)] + [(INF, slice(None))]
+    for v, sel in itertools.chain(everywhere, support):
+        if v not in S:
+            tally[sel] += _TALLY[family.theta_grid(rows[sel], v)]
+    return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK
 
 
 def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
-    Vectorized for the two built-in families (a coefficient of a height-B
-    point is at most B, so only primes <= B ever obstruct); any other
-    family falls back to the scalar scan.
+    A coefficient of a height-B point is at most B, so only primes <= B
+    can divide one; each prime p > A is tested on the rows it divides,
+    found by a mask per prime and slab.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     S = tuple(S)
-    name = family.name
-    if name == "diagonal_conics":
-        odd = [int(p) for p in primes_up_to(B) if p > 2]
-        worker = lambda rows: (_conic_slab_omega(rows, odd, S), np.zeros(len(rows), bool))
-    elif name == "diagonal_cubics":
-        deciders = {int(p): CubicDecider(int(p)) for p in primes_up_to(max(B, 3))}
-        worker = lambda rows: _cubic_slab_omega(rows, deciders, S)
-    else:
-        records, summary = scan(family, B, S)
-        return RecordSet.from_records(records, name, B, S, summary.singular_count)
-
+    big = [int(p) for p in primes_up_to(B) if p > family.A and p not in S]
     oms, hts, tns = [], [], []
     singular = 0
     for slab in point_slabs(family.n, B):
-        smooth = np.ones(len(slab), bool)
-        for j in range(slab.shape[1]):
-            smooth &= slab[:, j] != 0
+        smooth = (slab != 0).all(axis=1)
         singular += int((~smooth).sum())
         rows = slab[smooth]
         if not len(rows):
             continue
-        om, taint = worker(rows)
+        masks = ((p, m) for p in big if (m := (rows % p == 0).any(axis=1)).any())
+        om, taint = _block_omega(family, rows, masks, S)
         oms.append(om)
         hts.append(np.abs(rows).max(axis=1))
         tns.append(taint)
     return RecordSet(
-        name,
+        family.name,
         B,
         S,
         np.concatenate(oms),
@@ -286,25 +262,17 @@ def _sample_chunk(family, B, want, seed_seq, S):
     Uniform over primitive integer vectors in the box, which is uniform
     over points (each point has two primitive representatives).  Draws are
     consumed in order and stop at the one yielding the want-th smooth row,
-    so the singular tally is an unbiased companion count.
+    so the singular tally is an unbiased companion count.  The primes p > A
+    to test come from factoring each coordinate.
     """
     rng = np.random.default_rng(seed_seq)
-    n1 = family.n + 1
-    builtin = family.name in ("diagonal_conics", "diagonal_cubics")
     kept = []
     singular = 0
     got = 0
     while got < want:
-        raw = rng.integers(-B, B + 1, size=(2 * want + 64, n1))
+        raw = rng.integers(-B, B + 1, size=(2 * want + 64, family.n + 1))
         cand = raw[np.gcd.reduce(np.abs(raw), axis=1) == 1]
-        if builtin:
-            smooth = np.ones(len(cand), bool)
-            for j in range(n1):
-                smooth &= cand[:, j] != 0
-        else:
-            smooth = np.array(
-                [family.smooth(tuple(int(v) for v in r)) for r in cand], bool
-            )
+        smooth = (cand != 0).all(axis=1)
         hits = np.flatnonzero(smooth)
         need = want - got
         if len(hits) >= need:
@@ -318,31 +286,17 @@ def _sample_chunk(family, B, want, seed_seq, S):
             got += len(hits)
     rows = np.concatenate(kept)
 
-    om = np.zeros(want, np.int64)
-    taint = np.zeros(want, bool)
-    if family.name == "diagonal_conics":
-        support: dict[int, list[int]] = {}
-        for i, row in enumerate(rows):
-            seen = set()
-            for v in row:
-                seen.update(factorize(int(abs(v))))
-            for p in seen:
-                if p > 2:
-                    support.setdefault(p, []).append(i)
-        if 2 not in S:
-            om += conic_insoluble_grid(rows, 2)
-        for p, idx in support.items():
-            if p in S:
-                continue
-            ia = np.array(idx)
-            om[ia] += conic_insoluble_grid(rows[ia], p)
-        if INF not in S:
-            om += conic_insoluble_grid(rows, INF)
-    else:
-        for i, row in enumerate(rows):
-            rec = omega_pi(family, ProjPoint.from_vector(tuple(int(v) for v in row)), S)
-            om[i] = rec.omega
-            taint[i] = rec.tainted
+    support: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        seen = set()
+        for v in row:
+            seen.update(factorize(int(abs(v))))
+        for p in seen:
+            if p > family.A:
+                support.setdefault(p, []).append(i)
+    om, taint = _block_omega(
+        family, rows, ((p, np.array(idx)) for p, idx in support.items()), S
+    )
     heights = np.abs(rows).max(axis=1)
     return om, heights, taint, singular
 
@@ -393,14 +347,17 @@ def sample_records(
 # sigma tables and centerings
 
 
+def sigma_entries(family: FamilyDescriptor, up_to: int) -> dict[int, Fraction]:
+    """Exact sigma_p for the primes A < p <= up_to, from the family's sigma_p hook."""
+    if family.sigma_p is None:
+        raise ValueError(f"no exact sigma entries for {family.name!r}; supply a SigmaTable")
+    return {int(p): family.sigma_p(int(p)) for p in primes_up_to(up_to) if p > family.A}
+
+
 def _sigma_entries(family_name: str, up_to: int) -> dict[int, Union[Fraction, float]]:
-    if family_name == "diagonal_conics":
-        return {int(p): conic_sigma_formula(int(p)) for p in primes_up_to(up_to) if p > 2}
     if family_name == CLASSIC_OMEGA:
         return {int(p): Fraction(1, int(p)) for p in primes_up_to(up_to)}
-    raise ValueError(
-        f"no exact sigma entries for {family_name!r}; supply a SigmaTable"
-    )
+    return sigma_entries(family_by_name(family_name), up_to)
 
 
 def _center_sum(family_name: str, B: int, sigma: Optional[SigmaTable]) -> float:
@@ -421,7 +378,7 @@ def build_sigma_table(
     family: FamilyDescriptor, p_max: int, cutoffs: Optional[Sequence[int]] = None
 ) -> SigmaTable:
     """Exact sigma entries up to p_max with partial sums and the beta fit."""
-    entries = _sigma_entries(family.name, p_max)
+    entries = sigma_entries(family, p_max)
     fit = sigma_partial_sums(entries, family.Delta, cutoffs)
     return SigmaTable(entries, dict(fit.partial_sums), fit.beta)
 
@@ -822,9 +779,9 @@ def tau_limit_prediction(
 
     density_source maps each prime <= cutoff to its insoluble density (a
     DiskDensityEstimate, a (value, error) pair, or a bare number).  The
-    reported error combines the per-prime errors linearly through the
-    product's partial derivatives; the tail bound is the d/p envelope of
-    the first omitted prime.
+    reported error adds the per-prime errors in quadrature, each weighted
+    by the product's partial derivative in that prime's density; the tail
+    bound is the d/p envelope of the first omitted prime.
     """
     if family.Delta != 0:
         raise ValueError("limit histogram exists only when Delta = 0")
@@ -867,7 +824,7 @@ def tau_limit_prediction(
         reduced = coeff(k)
         partial = (reduced[j - 1] if j >= 1 else 0.0) - reduced[j]
         var += (partial * ses[k]) ** 2
-    tail = family.degree_f / float(prime_cutoff)
+    tail = family.f.degree / float(prime_cutoff)
     return TauPrediction(int(j), int(prime_cutoff), value, math.sqrt(var), tail)
 
 

@@ -1,5 +1,6 @@
 """Family descriptors: theta, omega, sigma, calibration, grid engines."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from fibstat.families import (
     CubicDecider,
-    FamilyDescriptor,
+    DiskDensityEstimate,
     ObstructionRecord,
     Undecided,
     calibrate_A,
@@ -34,6 +35,7 @@ from fibstat.localsolve import (
     padic_point_search,
 )
 from fibstat.projective import ProjPoint, proj_size
+from fibstat.stats import record_set
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +44,7 @@ from fibstat.projective import ProjPoint, proj_size
 
 def test_conic_descriptor():
     fam = diagonal_conics()
-    assert fam.n == 2 and fam.degree_f == 3 and fam.A == 2
+    assert fam.n == 2 and fam.f.degree == 3 and fam.A == 2
     assert fam.Delta == Fraction(3, 2)
     assert fam.f.evaluate((2, 3, 5)) == 30
     assert fam.smooth((1, 1, 1))
@@ -51,7 +53,7 @@ def test_conic_descriptor():
 
 def test_cubic_descriptor():
     fam = diagonal_cubics()
-    assert fam.n == 3 and fam.degree_f == 4
+    assert fam.n == 3 and fam.f.degree == 4
     assert fam.Delta == 0
     assert fam.f.evaluate((1, 2, 3, 4)) == 24
     assert not fam.smooth((1, 2, 0, 4))
@@ -72,17 +74,29 @@ def test_family_by_name():
 def test_descriptor_rejects_inconsistent_delta():
     fam = diagonal_conics()
     with pytest.raises(ValueError, match="disagrees"):
-        FamilyDescriptor(
-            name="broken",
-            n=2,
-            f=fam.f,
-            degree_f=3,
-            A=2,
-            Delta=Fraction(1),
-            theta=fam.theta,
-            smooth=fam.smooth,
-            divisors=fam.divisors,
+        dataclasses.replace(fam, name="broken", Delta=Fraction(1))
+
+
+def test_descriptor_rejects_non_product_f():
+    fam = diagonal_conics()
+    for f in (HomogeneousForm(3, 3, ((2, (1, 1, 1)),)), HomogeneousForm.diagonal((1, 1, 1), 3)):
+        with pytest.raises(ValueError, match="product of the coordinates"):
+            dataclasses.replace(fam, f=f)
+
+
+def test_renamed_family_gives_identical_results():
+    # nothing may key on the family's name
+    cases = [(diagonal_conics(), 12, 2, 6, 13), (diagonal_cubics(), 6, 3, 5, 7)]
+    for fam, B, p, depth, p_max in cases:
+        renamed = dataclasses.replace(fam, name="renamed")
+        a, b = record_set(fam, B, S=()), record_set(renamed, B, S=())
+        for col in ("omegas", "heights", "tainted"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+        assert a.singular_count == b.singular_count
+        assert sigma_empirical(fam, p, 2000, depth, seed=4) == sigma_empirical(
+            renamed, p, 2000, depth, seed=4
         )
+        assert calibrate_A(fam, p_max, B) == calibrate_A(renamed, p_max, B)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +111,10 @@ def test_conic_theta_frozen_values():
     assert not fam.theta((1, 1, 21), 5)
     assert not fam.theta((1, 1, 21), INF)
     assert fam.theta((1, 1, -1), INF)
+    # over the reals: insoluble exactly when a, b share a sign that c lacks
+    assert not fam.theta((1, 1, 1), INF)
+    assert not fam.theta((1, -1, 1), INF)
+    assert fam.theta((-2, -3, 5), INF)
 
 
 def test_conic_theta_bad_prime_contract():
@@ -117,6 +135,7 @@ def test_cubic_theta_frozen_values():
     for p in (2, 3, 5, 7, 13, 31):
         assert not fam.theta((1, 1, 1, 1), p)
     assert not fam.theta((1, 2, 7, 14), INF)
+    assert not fam.theta((4, -5, 6, 7), INF)
 
 
 def test_cubic_theta_rejects_singular():
@@ -199,17 +218,7 @@ def test_omega_tainted_on_undecided():
             raise Undecided(tuple(x.coords if isinstance(x, ProjPoint) else x), v)
         return fam.theta(x, v)
 
-    moody = FamilyDescriptor(
-        name="moody",
-        n=2,
-        f=fam.f,
-        degree_f=3,
-        A=2,
-        Delta=fam.Delta,
-        theta=moody_theta,
-        smooth=fam.smooth,
-        divisors=fam.divisors,
-    )
+    moody = dataclasses.replace(fam, name="moody", theta=moody_theta)
     rec = omega_pi(moody, (1, 1, 21))
     assert rec.tainted and rec.insoluble_places == (7,)
 
@@ -351,6 +360,16 @@ def test_sigma_empirical_deterministic():
     assert a == b
 
 
+def test_sigma_empirical_frozen():
+    # counts recorded from the per-disk scalar theta loop this replaced
+    cases = [(diagonal_conics(), 2, 6, 1124, 461), (diagonal_cubics(), 3, 4, 81, 385)]
+    for fam, p, depth, insoluble, unknown in cases:
+        q = insoluble / 3000
+        assert sigma_empirical(fam, p, 3000, depth, seed=1) == DiskDensityEstimate(
+            p, depth, 3000, q, math.sqrt(q * (1 - q) / 3000), unknown / 3000
+        )
+
+
 def test_sigma_empirical_rejections():
     fam = diagonal_conics()
     with pytest.raises(ValueError):
@@ -420,6 +439,29 @@ def test_conic_grid_matches_scalar():
         grid = conic_insoluble_grid(coeffs, p)
         for g, row in zip(grid.tolist(), coeffs.tolist()):
             assert g == (not conic_soluble(*row, p)), (row, p)
+
+
+@pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
+def test_theta_grid_matches_scalar_theta(fam):
+    rng = np.random.default_rng(21)
+    rows = rng.integers(-60, 61, size=(120, fam.n + 1))
+    rows = rows[(rows != 0).all(axis=1)]
+    for v in (2, 3, 5, 7, 13, INF):
+        grid = fam.theta_grid(rows, v)
+        assert grid.dtype == np.int8
+        for row, g in zip(rows.tolist(), grid.tolist()):
+            try:
+                want = int(fam.theta(row, v))
+            except Undecided:
+                want = 2
+            assert g == want, (row, v)
+
+
+def test_grids_reject_zero_entries():
+    with pytest.raises(ValueError):
+        conic_insoluble_grid(np.array([[1, 0, 3]]), 5)
+    with pytest.raises(ValueError):
+        CubicDecider(5).decide_grid(np.array([[1, 0, 2, 3]]))
 
 
 def test_cubic_grid_matches_direct_engine():

@@ -20,19 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibstat.arith import is_prime, primes_up_to, valuation
+from fibstat.families import cubic_criterion
 from fibstat.localsolve import (
     INF,
     HomogeneousForm,
     Solubility,
     SolubilityVerdict,
     conic_soluble,
-    cubic_criterion,
     hilbert,
     hilbert_reciprocity_check,
     is_kth_power_residue,
     legendre,
     padic_point_search,
-    real_soluble,
     verify_certificate,
 )
 
@@ -296,29 +295,21 @@ def test_conic_insoluble_at_finitely_many_places():
         assert len(bad) % 2 == 0
 
 
-def test_real_soluble_conics():
-    assert real_soluble("diagonal_conics", (1, 1, 1))
-    assert real_soluble("diagonal_conics", (1, -1, 1))
-    assert not real_soluble("diagonal_conics", (1, 1, -1))
-    assert not real_soluble("diagonal_conics", (-2, -3, 5))
-    assert real_soluble("diagonal_cubics", (4, -5, 6, 7))
-    with pytest.raises(ValueError):
-        real_soluble("nonsense", (1, 2, 3))
-
-
 # ---------------------------------------------------------------------------
 # cubic criterion
 
 
 def test_cubic_criterion_frozen_case():
     assert cubic_criterion((1, 2, 7, 14), 7)
+    assert cubic_criterion((7, 1, 14, 2), 7)  # the criterion ignores coefficient order
 
 
 def test_cubic_criterion_requires_its_shape():
     assert not cubic_criterion((1, 1, 7, 14), 7)  # -1 is a cube mod 7
-    assert not cubic_criterion((1, 2, 7, 14), 5)  # 5 = 2 mod 3
+    with pytest.raises(ValueError):
+        cubic_criterion((1, 2, 7, 14), 5)  # 5 = 2 mod 3
     assert not cubic_criterion((1, 2, 49, 14), 7)  # v_7(y2) = 2
-    assert not cubic_criterion((7, 2, 7, 14), 7)  # p | y0
+    assert not cubic_criterion((7, 2, 7, 14), 7)  # 7 divides three coefficients
     assert cubic_criterion((1, 2, 13 * 4, 13 * 11), 13) == (
         not is_kth_power_residue((-2) % 13, 13, 3)
         and not is_kth_power_residue((-11 * pow(4, 11, 13)) % 13, 13, 3)

@@ -1,5 +1,6 @@
 """Record sets, moments, histograms, sigma fits, KS distance, predictions."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as hyp
 from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
     DiskDensityEstimate,
+    Undecided,
     conic_sigma_formula,
     diagonal_conics,
     diagonal_cubics,
+    omega_pi,
 )
 from fibstat.localsolve import INF
 from fibstat.projective import count_points
@@ -89,6 +92,23 @@ def test_vectorized_cubic_route_matches_scalar():
     assert fast.tainted_count == 0
 
 
+def test_undecided_grid_verdicts_taint_like_the_scalar_route():
+    def theta(x, v):
+        if v == 3:
+            raise Undecided(x.coords, v)
+        return CONICS.theta(x, v)
+
+    def theta_grid(rows, v):
+        return np.full(len(rows), 2, np.int8) if v == 3 else CONICS.theta_grid(rows, v)
+
+    moody = dataclasses.replace(CONICS, name="moody", theta=theta, theta_grid=theta_grid)
+    records, summary = scan(moody, 12)
+    fast = record_set(moody, 12)
+    assert fast.omegas.tolist() == [r.omega for r in records]
+    assert fast.tainted.tolist() == [r.tainted for r in records]
+    assert fast.tainted_count == summary.tainted_count > 0
+
+
 def test_record_set_partition():
     rs = record_set(CONICS, 10)
     assert rs.point_count == count_points(2, 10)
@@ -150,6 +170,22 @@ def test_sampler_parity_with_empty_s():
     # with no excluded places the insoluble places pair up: omega is even
     rs = sample_records(CONICS, 50, 600, seed=3, S=())
     assert (rs.omegas % 2 == 0).all()
+
+
+@pytest.mark.parametrize("fam, S", [(CONICS, ()), (CUBICS, (INF,))], ids=["conics", "cubics"])
+def test_sampler_matches_scalar_omega(fam, S):
+    # one chunk whose first draw holds enough smooth rows: replay that draw
+    # and decide each row with the scalar omega_pi
+    B, want, seed = 20, 150, 4
+    rs = sample_records(fam, B, want, seed=seed, S=S, chunks=1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    raw = rng.integers(-B, B + 1, size=(2 * want + 64, fam.n + 1))
+    cand = raw[np.gcd.reduce(np.abs(raw), axis=1) == 1]
+    rows = cand[(cand != 0).all(axis=1)][:want]
+    assert len(rows) == want
+    recs = [omega_pi(fam, row, S) for row in rows.tolist()]
+    assert rs.omegas.tolist() == [r.omega for r in recs]
+    assert rs.tainted.tolist() == [r.tainted for r in recs]
 
 
 def test_sampler_rejects_bad_sizes():
@@ -453,7 +489,7 @@ def test_tau_prediction_exact_toy():
         pred = tau_limit_prediction(CUBICS, j, 7, qs)
         assert abs(pred.value - v) < 1e-12
         assert pred.std_error == 0.0
-        assert pred.tail_bound == CUBICS.degree_f / 7
+        assert pred.tail_bound == CUBICS.f.degree / 7
         assert float(pred) == pred.value
 
 
@@ -464,6 +500,14 @@ def test_tau_prediction_error_propagation():
     assert abs(p0.value - 0.7) < 1e-12 and abs(p1.value - 0.3) < 1e-12
     assert abs(p0.std_error - 0.01) < 1e-12
     assert abs(p1.std_error - 0.01) < 1e-12
+    # two primes: errors add in quadrature, weighted by the partial derivatives
+    # dP0/dq = -(1 - q_other) and dP1/dq = 1 - 2 q_other
+    src = {2: (0.3, 0.01), 3: (0.2, 0.02)}
+    p0 = tau_limit_prediction(CUBICS, 0, 3, src)
+    p1 = tau_limit_prediction(CUBICS, 1, 3, src)
+    assert abs(p0.value - 0.56) < 1e-12 and abs(p1.value - 0.38) < 1e-12
+    assert abs(p0.std_error - math.sqrt((0.8 * 0.01) ** 2 + (0.7 * 0.02) ** 2)) < 1e-12
+    assert abs(p1.std_error - math.sqrt((0.6 * 0.01) ** 2 + (0.4 * 0.02) ** 2)) < 1e-12
 
 
 def test_tau_prediction_folds_unknown_fraction():
