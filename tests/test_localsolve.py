@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibstat.arith import is_prime, primes_up_to, valuation
-from fibstat.families import cubic_criterion
+from fibstat.families import cubic_criterion, family_by_name
 from fibstat.localsolve import (
     INF,
     HomogeneousForm,
@@ -293,6 +293,22 @@ def test_conic_insoluble_at_finitely_many_places():
             support.update(p for p in range(2, abs(x) + 1) if is_prime(p) and x % p == 0)
         bad = [v for v in [INF, *sorted(support)] if not conic_soluble(a, b, c, v)]
         assert len(bad) % 2 == 0
+
+
+def test_real_soluble_conics():
+    # real solubility is the family's theta at the real place, negated
+    def real_soluble(family, coords):
+        return not family_by_name(family).theta(coords, INF)
+
+    assert real_soluble("diagonal_conics", (1, 1, 1))
+    assert real_soluble("diagonal_conics", (1, -1, 1))
+    assert not real_soluble("diagonal_conics", (1, 1, -1))
+    assert not real_soluble("diagonal_conics", (-2, -3, 5))
+    assert real_soluble("diagonal_cubics", (4, -5, 6, 7))
+    for coeffs in ((1, 1, 1), (1, -1, 1), (1, 1, -1), (-2, -3, 5)):
+        assert real_soluble("diagonal_conics", coeffs) == conic_soluble(*coeffs, INF)
+    with pytest.raises(ValueError):
+        real_soluble("nonsense", (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
