@@ -9,6 +9,7 @@ probabilistic.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "moebius_up_to",
     "factorize",
     "prime_support",
+    "jacobi",
     "is_prime",
     "valuation",
 ]
@@ -84,12 +86,16 @@ def _pollard_rho(n: int) -> int:
 
 _SPF_CACHE_LIMIT = 1 << 20
 _spf_cache: np.ndarray | None = None
+_spf_lock = threading.Lock()
 
 
 def _spf() -> np.ndarray:
     global _spf_cache
     if _spf_cache is None:
-        _spf_cache = smallest_prime_factors(_SPF_CACHE_LIMIT)
+        # sampler threads reach this together; build the table once
+        with _spf_lock:
+            if _spf_cache is None:
+                _spf_cache = smallest_prime_factors(_SPF_CACHE_LIMIT)
     return _spf_cache
 
 
@@ -135,11 +141,77 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def prime_support(n: int) -> list[int]:
-    """Sorted primes dividing |n| (empty for n = +-1)."""
-    if n in (1, -1):
-        return []
-    return sorted(factorize(n))
+def prime_support(values) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct primes dividing each |values[i]|, as (index, prime) int64 pairs.
+
+    The pairs are sorted by index, then by prime; an entry of +-1 yields
+    none, a 0 raises ValueError.  Entries up to _SPF_CACHE_LIMIT are read
+    off the smallest-prime-factor table by repeated gathers, larger ones
+    go through factorize.
+    """
+    values = np.abs(np.asarray(values, dtype=np.int64).ravel())
+    if not values.all():
+        raise ValueError("0 has no prime support")
+    spf = _spf()
+    small = values <= _SPF_CACHE_LIMIT
+    idx = np.flatnonzero(small & (values > 1))
+    rest = values[idx]
+    last = np.zeros(len(idx), np.int64)
+    idxs, primes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    # each pass divides out one prime factor; a repeat of the previous one is not new
+    while idx.size:
+        p = spf[rest]
+        new = p != last
+        idxs.append(idx[new])
+        primes.append(p[new])
+        rest //= p
+        live = rest > 1
+        idx, rest, last = idx[live], rest[live], p[live]
+    for i in np.flatnonzero(~small).tolist():
+        ps = sorted(factorize(int(values[i])))
+        idxs.append(np.full(len(ps), i, np.int64))
+        primes.append(np.array(ps, np.int64))
+    index, prime = np.concatenate(idxs), np.concatenate(primes)
+    # passes emit each index's primes in increasing order, so a stable sort suffices
+    order = np.argsort(index, kind="stable")
+    return index[order], prime[order]
+
+
+_TWO_ODD_POWERS = 0x2AAAAAAAAAAAAAAA  # bits 1, 3, ..., 61: 2^e with e odd
+
+
+def jacobi(a, n) -> np.ndarray:
+    """Jacobi symbol (a|n) elementwise, for int64 arrays with n odd and positive.
+
+    Any a is accepted, negative or divisible by n.  Each step takes a
+    remainder, halves, or swaps the pair, so no value exceeds max(|a|, n)
+    and nothing overflows int64.
+    """
+    a, n = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(n, np.int64))
+    if (n % 2 == 0).any() or (n < 1).any():
+        raise ValueError("Jacobi symbol needs an odd positive modulus")
+    shape = a.shape
+    a = a.ravel() % n.ravel()
+    n = n.ravel().copy()
+    out = np.zeros(a.size, np.int64)
+    pos = np.arange(a.size)
+    flip = np.zeros(a.size, bool)  # the sign so far is -1
+    while pos.size:
+        # (0|n) is 1 for n = 1 and 0 otherwise; out already holds the 0s
+        live = np.flatnonzero(a)
+        if len(live) < len(a):
+            one = (a == 0) & (n == 1)
+            out[pos[one]] = np.where(flip[one], -1, 1)
+            pos, a, n, flip = pos[live], a[live], n[live], flip[live]
+        # strip a's factors of 2 at once: (2|n) = -1 iff n = 3, 5 mod 8
+        low = a & -a
+        a //= low
+        r8 = n & 7
+        flip ^= ((low & _TWO_ODD_POWERS) != 0) & ((r8 == 3) | (r8 == 5))
+        # reciprocity for odd a, n
+        flip ^= (a & n & 3) == 3
+        a, n = n % a, a
+    return out.reshape(shape)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -155,7 +155,10 @@ class RunConfig:
         return d
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        # output does not depend on the thread count, so neither does the hash
+        d = self.as_dict()
+        del d["threads"]
+        blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -598,7 +601,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="local solubility statistics for families of varieties",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    default_threads = int(os.environ.get("FIBSTAT_THREADS", "1"))
+    raw_threads = os.environ.get("FIBSTAT_THREADS", "1")
+    try:
+        default_threads = int(raw_threads)
+    except ValueError:
+        raise ConfigError(f"FIBSTAT_THREADS must be an integer, got {raw_threads!r}") from None
 
     def common(p):
         p.add_argument("--family", default="diagonal_conics")
@@ -633,9 +640,8 @@ def _error_record(code: int, kind: str, detail: str) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         cfg = RunConfig(
             command=ns.command,
             family=ns.family,

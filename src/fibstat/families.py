@@ -7,8 +7,8 @@ bundles everything the statistics layer needs: the discriminant form f (the
 product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
 bad-prime bound A, the growth constant Delta (validated against the declared
 divisor actions), the scalar per-place insolubility test theta, and the
-hooks the vectorized paths run on: theta_grid, stable_margin and an
-optional exact sigma_p.
+hooks the vectorized paths run on: theta_grid (at one place, or at one
+prime per row), stable_margin and an optional exact sigma_p.
 
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, is_prime, primes_up_to, valuation
+from .arith import factorize, is_prime, jacobi, primes_up_to, valuation
 from .grouptheory import ComponentAction, delta_total, load_bundled_actions
 from .localsolve import (
     INF,
@@ -117,10 +117,12 @@ class FamilyDescriptor:
     constant, checked at construction against the divisor action data.
 
     theta_grid(rows, v) is theta over an (N, n+1) array of nonzero rows, as
-    int8: 0 soluble, 1 insoluble, 2 undecided.  stable_margin(p) is how far
-    below the sampling depth each coordinate's valuation must stay for a
-    residue disk's verdict to be constant across lifts.  sigma_p, when
-    present, gives the exact local density at primes p > A.
+    int8: 0 soluble, 1 insoluble, 2 undecided.  v is one place for every
+    row, or an int64 array of primes > A, one per row, so a batch whose
+    rows obstruct at different primes is one call.  stable_margin(p) is
+    how far below the sampling depth each coordinate's valuation must stay
+    for a residue disk's verdict to be constant across lifts.  sigma_p,
+    when present, gives the exact local density at primes p > A.
     """
 
     name: str
@@ -129,7 +131,7 @@ class FamilyDescriptor:
     A: int
     Delta: Fraction
     theta: Callable[[Sequence[int], Place], bool]
-    theta_grid: Callable[[np.ndarray, Place], np.ndarray]
+    theta_grid: Callable[[np.ndarray, Place | np.ndarray], np.ndarray]
     stable_margin: Callable[[int], int]
     divisors: tuple[ComponentAction, ...]
     nonsplit: Optional[Callable[[Sequence[int], int], bool]] = None
@@ -183,7 +185,7 @@ def _conic_theta(x, place: Place) -> bool:
     return not conic_soluble(a, b, c, place)
 
 
-def _conic_theta_grid(rows: np.ndarray, place: Place) -> np.ndarray:
+def _conic_theta_grid(rows: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
     return conic_insoluble_grid(rows, place).view(np.int8)
 
 
@@ -239,39 +241,46 @@ def diagonal_conics() -> FamilyDescriptor:
 # vectorized conic insolubility over coefficient arrays
 
 
-def _strip(col: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    # returns (valuation, unit part).  A nonzero int64 has valuation at most
-    # 63, so an entry still divisible after 64 passes is a zero.
+def _strip(col: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    # returns (valuation, unit part); p is one prime, or an array of one per
+    # entry.  A nonzero int64 has valuation at most 63, so an entry still
+    # divisible after 64 passes is a zero.
     col = col.astype(np.int64, copy=True)
     val = np.zeros(col.shape, dtype=np.int64)
     idx = np.nonzero(col % p == 0)[0]
+    per_entry = np.ndim(p) > 0
     for _ in range(64):
         if not idx.size:
             return val, col
-        col[idx] //= p
+        q = p[idx] if per_entry else p
+        col[idx] //= q
         val[idx] += 1
-        idx = idx[col[idx] % p == 0]
+        idx = idx[col[idx] % q == 0]
     raise ValueError("zero entry has no p-adic valuation")
 
 
-def conic_insoluble_grid(coeffs: np.ndarray, place: Place) -> np.ndarray:
+def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
     """Vectorized theta for the conic family: a boolean per coefficient row.
 
     coeffs is an (N, 3) integer array with no zero entries (a zero raises
-    ValueError at a finite place).  Agrees with the scalar Hilbert-symbol
-    route entry by entry.
+    ValueError at a finite place).  place is INF, a prime, or an int64
+    array of N odd primes, one per row.  Residue symbols come from an O(p)
+    table of squares when one prime serves at least p rows, and from
+    Jacobi symbols of the unit parts otherwise, so memory never grows with
+    p.  Agrees with the scalar Hilbert-symbol route entry by entry.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    if place == INF:
+    per_row = np.ndim(place) > 0
+    if not per_row and place == INF:
         return ((a > 0) & (b > 0) & (c < 0)) | ((a < 0) & (b < 0) & (c > 0))
-    p = int(place)
+    p = np.asarray(place, dtype=np.int64) if per_row else int(place)
     va, ua = _strip(a, p)
     vb, ub = _strip(b, p)
     vc, uc = _strip(c, p)
     x1 = (va ^ vc) & 1
     x2 = (vb ^ vc) & 1
-    if p == 2:
+    if not per_row and p == 2:
         u1 = (ua % 8) * (uc % 8) % 8
         u2 = (ub % 8) * (uc % 8) % 8
         eps1 = (u1 % 4 == 3).astype(np.int64)
@@ -279,11 +288,21 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place) -> np.ndarray:
         om1 = ((u1 == 3) | (u1 == 5)).astype(np.int64)
         om2 = ((u2 == 3) | (u2 == 5)).astype(np.int64)
         return (eps1 * eps2 + x1 * om2 + x2 * om1) % 2 == 1
-    qr = np.zeros(p, dtype=bool)
-    r = np.arange(1, p, dtype=np.int64)
-    qr[r * r % p] = True
-    s1 = ~qr[(ua % p) * (uc % p) % p]
-    s2 = ~qr[(ub % p) * (uc % p) % p]
+    if per_row or p > len(coeffs):
+        # (ua uc|p) = (ua|p)(uc|p): one symbol per unit part, no product to
+        # overflow, and only where the sign below reads it
+        units = np.stack([ua, ub, uc])
+        need = np.stack([x2, x1, x1 | x2]) == 1
+        sym = np.ones(units.shape, np.int64)
+        sym[need] = jacobi(units[need], np.broadcast_to(p, units.shape)[need])
+        s1 = sym[0] * sym[2] < 0
+        s2 = sym[1] * sym[2] < 0
+    else:
+        qr = np.zeros(p, dtype=bool)
+        r = np.arange(1, p, dtype=np.int64)
+        qr[r * r % p] = True
+        s1 = ~qr[(ua % p) * (uc % p) % p]
+        s2 = ~qr[(ub % p) * (uc % p) % p]
     sign = (x1 & x2) * (p % 4 == 3) + x2 * s1 + x1 * s2
     return sign % 2 == 1
 
@@ -501,7 +520,15 @@ def _cubic_theta(x, place: Place) -> bool:
     return verdict is Solubility.INSOLUBLE
 
 
-def _cubic_theta_grid(rows: np.ndarray, place: Place) -> np.ndarray:
+def _cubic_theta_grid(rows: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
+    if np.ndim(place):
+        # one prime per row: one cached decider call per distinct prime
+        out = np.empty(len(rows), np.int8)
+        order = np.argsort(place, kind="stable")
+        primes, starts = np.unique(place[order], return_index=True)
+        for p, sel in zip(primes.tolist(), np.split(order, starts[1:])):
+            out[sel] = _cubic_decider(p).decide_grid(rows[sel])
+        return out
     if place == INF:
         return np.zeros(len(rows), np.int8)
     return _cubic_decider(int(place)).decide_grid(rows)
@@ -690,6 +717,7 @@ def sigma_empirical(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def conic_sigma_formula(p: int) -> Fraction:
     """Closed form for the conic family's sigma_p, odd p.
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .arith import factorize, is_prime, primes_up_to
+from .arith import prime_support, primes_up_to
 from .families import (
     DiskDensityEstimate,
     FamilyDescriptor,
@@ -210,13 +210,18 @@ def _block_omega(family: FamilyDescriptor, rows: np.ndarray, support, S: tuple):
     """omega and taint of a block of smooth rows, from the theta_grid hook.
 
     Primes <= family.A and the real place are tested on every row; support
-    yields (p, rows p divides) for the primes p > A, so each is tested only
-    where it can obstruct.  Places in S are skipped.
+    covers the primes p > A, each tested only where it can obstruct.  It
+    yields (v, sel) pairs of two kinds: a prime v with a mask of the rows it
+    divides, or an int64 array v of primes with the index array sel of the
+    row each one divides (an index may repeat; the array must hold no place
+    of S), decided by one array-place call.  Places in S are skipped.
     """
     tally = np.zeros(len(rows), np.int64)
     everywhere = [(int(p), slice(None)) for p in primes_up_to(family.A)] + [(INF, slice(None))]
     for v, sel in itertools.chain(everywhere, support):
-        if v not in S:
+        if np.ndim(v):
+            np.add.at(tally, sel, _TALLY[family.theta_grid(rows[sel], v)])
+        elif v not in S:
             tally[sel] += _TALLY[family.theta_grid(rows[sel], v)]
     return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK
 
@@ -256,14 +261,13 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     )
 
 
-def _sample_chunk(family, B, want, seed_seq, S):
-    """One chunk of uniform points of height <= B with their counts.
+def _sample_chunk(family, B, want, seed_seq):
+    """One chunk of uniform smooth rows of height <= B, with its singular tally.
 
     Uniform over primitive integer vectors in the box, which is uniform
     over points (each point has two primitive representatives).  Draws are
     consumed in order and stop at the one yielding the want-th smooth row,
-    so the singular tally is an unbiased companion count.  The primes p > A
-    to test come from factoring each coordinate.
+    so the singular tally is an unbiased companion count.
     """
     rng = np.random.default_rng(seed_seq)
     kept = []
@@ -284,21 +288,30 @@ def _sample_chunk(family, B, want, seed_seq, S):
             singular += int((~smooth).sum())
             kept.append(cand[smooth])
             got += len(hits)
-    rows = np.concatenate(kept)
+    return np.concatenate(kept), singular
 
-    support: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        seen = set()
-        for v in row:
-            seen.update(factorize(int(abs(v))))
-        for p in seen:
-            if p > family.A:
-                support.setdefault(p, []).append(i)
-    om, taint = _block_omega(
-        family, rows, ((p, np.array(idx)) for p, idx in support.items()), S
-    )
-    heights = np.abs(rows).max(axis=1)
-    return om, heights, taint, singular
+
+# a decision block's temporaries are several int64 arrays a few times its
+# size; capping its rows keeps peak memory flat in the sample size
+_BLOCK_ROWS = 4096
+
+
+def _sample_block(family, rows, S):
+    """omega and taint of a block of sampled rows.
+
+    The primes > A dividing some coordinate come from one prime_support
+    lookup, deduplicated per row, with the primes in S dropped; they are
+    decided by one array-place theta_grid call.
+    """
+    index, prime = prime_support(rows)
+    row = index // rows.shape[1]
+    # a prime dividing two coordinates of a row is one place
+    order = np.lexsort((prime, row))
+    row, prime = row[order], prime[order]
+    first = np.ones(len(row), bool)
+    first[1:] = (row[1:] != row[:-1]) | (prime[1:] != prime[:-1])
+    keep = first & (prime > family.A) & ~np.isin(prime, [v for v in S if v != INF])
+    return _block_omega(family, rows, [(prime[keep], row[keep])], S)
 
 
 def sample_records(
@@ -312,9 +325,13 @@ def sample_records(
 ) -> RecordSet:
     """Seeded uniform sample of smooth-fibre points of height <= B.
 
-    The seed is split into a fixed number of independent streams and the
-    chunk results are concatenated in stream order, so the output is
-    byte-identical for any thread count.
+    The seed is split into a fixed number of independent streams, each
+    drawing its share of the rows; the rows are concatenated in stream
+    order and decided in contiguous blocks of at most _BLOCK_ROWS rows,
+    spread over min(threads, streams) threads.  A row's count does not
+    depend on its block, so the output is byte-identical for any thread
+    count.  The draws themselves run in order on the calling thread: they
+    are small and hold the GIL.
     """
     if B < 3:
         raise ValueError("need B >= 3")
@@ -324,21 +341,24 @@ def sample_records(
     children = np.random.SeedSequence(seed).spawn(chunks)
     sizes = [sample_size // chunks + (i < sample_size % chunks) for i in range(chunks)]
     jobs = [(c, w) for c, w in zip(children, sizes) if w]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda cw: _sample_chunk(family, B, cw[1], cw[0], S), jobs)
-            )
+    draws = [_sample_chunk(family, B, w, c) for c, w in jobs]
+    rows = np.concatenate([d[0] for d in draws])
+    workers = min(threads, len(jobs))
+    per_worker = math.ceil(len(rows) / (workers * _BLOCK_ROWS))
+    blocks = np.array_split(rows, workers * per_worker)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda blk: _sample_block(family, blk, S), blocks))
     else:
-        parts = [_sample_chunk(family, B, w, c, S) for c, w in jobs]
+        parts = [_sample_block(family, blk, S) for blk in blocks]
     return RecordSet(
         family.name,
         B,
         S,
         np.concatenate([p[0] for p in parts]),
+        np.abs(rows).max(axis=1),
         np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-        sum(p[3] for p in parts),
+        sum(d[1] for d in draws),
         sampled=True,
     )
 

@@ -126,16 +126,23 @@ def test_ekac_artifact_shape(tmp_path):
     assert sum(hist["counts"]) == 1500
 
 
-def test_ekac_thread_count_invariance(tmp_path):
-    outs = []
+def test_ekac_thread_count_invariance(tmp_path, monkeypatch):
+    outs, hashes = [], []
     for threads, name in ((1, "a"), (4, "b")):
+        # same relative --output in two directories: only --threads differs
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
         code = main([
             "ekac", "--B", "500", "--sample-size", "800", "--seed", "11",
-            "--threads", str(threads), "--output", str(tmp_path / name),
+            "--threads", str(threads), "--output", "run",
         ])
         assert code == 0
-        outs.append((tmp_path / f"{name}.ekac.csv").read_bytes())
+        outs.append((tmp_path / name / "run.ekac.csv").read_bytes())
+        manifest = json.loads((tmp_path / name / "run.manifest.json").read_text())
+        hashes.append(manifest["config_sha256"])
     assert outs[0] == outs[1]
+    # the thread count changes no output, so it is not part of the config hash
+    assert hashes[0] == hashes[1]
 
 
 def test_ekac_repeat_runs_byte_identical(tmp_path):
@@ -283,6 +290,16 @@ def test_environment_thread_default(tmp_path, monkeypatch):
     parser = cli._build_parser()
     ns = parser.parse_args(["ekac"])
     assert ns.threads == 4
+
+
+def test_malformed_thread_environment_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FIBSTAT_THREADS", "abc")
+    code = main(["ekac", "--B", "50", "--sample-size", "10", "--output", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert "FIBSTAT_THREADS" in err["detail"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point(tmp_path):

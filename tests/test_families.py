@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fibstat.arith import factorize
 from fibstat.families import (
     CubicDecider,
     DiskDensityEstimate,
@@ -435,7 +436,13 @@ def test_conic_grid_matches_scalar():
     rng = np.random.default_rng(5)
     coeffs = rng.integers(-200, 201, size=(3000, 3))
     coeffs = coeffs[(coeffs != 0).all(axis=1)]
-    for p in (2, 3, 5, 7, 13, 97, INF):
+    # a prime above the row count takes the Jacobi route instead of the table
+    big = 1_000_003
+    divisible = np.array(
+        [[3 * big, 5, 7], [-big, 2, 11], [big * big, -3, 5], [6, big, -big], [2, 3, -5 * big]]
+    )
+    coeffs = np.concatenate([coeffs, divisible])
+    for p in (2, 3, 5, 7, 13, 97, big, INF):
         grid = conic_insoluble_grid(coeffs, p)
         for g, row in zip(grid.tolist(), coeffs.tolist()):
             assert g == (not conic_soluble(*row, p)), (row, p)
@@ -446,15 +453,21 @@ def test_theta_grid_matches_scalar_theta(fam):
     rng = np.random.default_rng(21)
     rows = rng.integers(-60, 61, size=(120, fam.n + 1))
     rows = rows[(rows != 0).all(axis=1)]
-    for v in (2, 3, 5, 7, 13, INF):
+    # one prime > A per row, dividing a coordinate where the row has one
+    per_row = []
+    for row in rows.tolist():
+        divs = sorted({q for x in row for q in factorize(x) if q > fam.A})
+        per_row.append(divs[len(per_row) % len(divs)] if divs else 7)
+    for v in (2, 3, 5, 7, 13, INF, np.array(per_row, np.int64)):
         grid = fam.theta_grid(rows, v)
         assert grid.dtype == np.int8
-        for row, g in zip(rows.tolist(), grid.tolist()):
+        places = v.tolist() if np.ndim(v) else [v] * len(rows)
+        for row, place, g in zip(rows.tolist(), places, grid.tolist()):
             try:
-                want = int(fam.theta(row, v))
+                want = int(fam.theta(row, place))
             except Undecided:
                 want = 2
-            assert g == want, (row, v)
+            assert g == want, (row, place)
 
 
 def test_grids_reject_zero_entries():

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibstat.arith import is_prime, primes_up_to, valuation
+from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
 from fibstat.families import cubic_criterion, family_by_name
 from fibstat.localsolve import (
     INF,
@@ -147,6 +148,43 @@ def test_square_residue_agrees_with_legendre():
     for p in [3, 7, 11, 19]:
         for a in range(1, p):
             assert is_kth_power_residue(a, p, 2) == (legendre(a, p) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 2**61 - 1).map(sympy.nextprime),
+    st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=8),
+    st.integers(-3, 3),
+)
+def test_vectorized_jacobi_matches_legendre(p, values, k):
+    # negative entries, multiples of p and p itself next to arbitrary ones
+    a = values + [k * p, k * p - 1, p - 1, -values[0]]
+    assert jacobi(np.array(a), p).tolist() == [legendre(x, p) for x in a]
+
+
+def test_vectorized_jacobi_composite_moduli():
+    a = np.arange(-60, 61)
+    for n in range(1, 100, 2):
+        assert jacobi(a, n).tolist() == [sympy.jacobi_symbol(int(x), n) for x in a]
+    with pytest.raises(ValueError):
+        jacobi(np.array([3]), 10)
+
+
+def test_prime_support_matches_factorize():
+    rng = np.random.default_rng(3)
+    limit = 1 << 20
+    values = np.concatenate([
+        rng.integers(-(10**6), 10**6, 400),
+        rng.integers(limit, 1 << 40, 30),
+        [1, -1, limit, limit + 1, -limit - 7, 2**40 * 3, 1000003 * 999983],
+    ])
+    values = values[values != 0]
+    index, prime = prime_support(values)
+    assert (np.diff(index) >= 0).all()
+    for k, v in enumerate(values.tolist()):
+        assert prime[index == k].tolist() == sorted(factorize(v)), v
+    with pytest.raises(ValueError):
+        prime_support(np.array([3, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,17 @@ def test_sampler_parity_with_empty_s():
     assert (rs.omegas % 2 == 0).all()
 
 
-@pytest.mark.parametrize("fam, S", [(CONICS, ()), (CUBICS, (INF,))], ids=["conics", "cubics"])
-def test_sampler_matches_scalar_omega(fam, S):
+@pytest.mark.parametrize(
+    "fam, S, B, want",
+    [(CONICS, (), 20, 150), (CUBICS, (INF,), 20, 150), (CONICS, (INF,), 10**12, 40)],
+    ids=["conics", "cubics", "conics-1e12"],
+)
+def test_sampler_matches_scalar_omega(fam, S, B, want):
     # one chunk whose first draw holds enough smooth rows: replay that draw
-    # and decide each row with the scalar omega_pi
-    B, want, seed = 20, 150, 4
+    # and decide each row with the scalar omega_pi.  At B = 1e12 the
+    # coordinates are above the factor table and their primes far above
+    # any row count.
+    seed = 4
     rs = sample_records(fam, B, want, seed=seed, S=S, chunks=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     raw = rng.integers(-B, B + 1, size=(2 * want + 64, fam.n + 1))
@@ -186,6 +192,14 @@ def test_sampler_matches_scalar_omega(fam, S):
     recs = [omega_pi(fam, row, S) for row in rows.tolist()]
     assert rs.omegas.tolist() == [r.omega for r in recs]
     assert rs.tainted.tolist() == [r.tainted for r in recs]
+
+
+def test_sampler_more_threads_than_rows():
+    one = sample_records(CONICS, 10**5, 3, seed=5, threads=1)
+    many = sample_records(CONICS, 10**5, 3, seed=5, threads=8)
+    for col in ("omegas", "heights", "tainted"):
+        assert getattr(one, col).tobytes() == getattr(many, col).tobytes()
+    assert one.singular_count == many.singular_count
 
 
 def test_sampler_rejects_bad_sizes():
