@@ -89,14 +89,24 @@ _spf_cache: np.ndarray | None = None
 _spf_lock = threading.Lock()
 
 
-def _spf() -> np.ndarray:
+def _spf(top: int) -> np.ndarray:
+    """A smallest-prime-factor table covering every value <= top (top <= the limit).
+
+    The table is sized to the next power of two above top, capped at
+    _SPF_CACHE_LIMIT, and grows under the lock when a larger top is asked
+    for.  Callers keep the reference returned, which covers their own top
+    even if another thread grows the cache meanwhile.
+    """
     global _spf_cache
-    if _spf_cache is None:
-        # sampler threads reach this together; build the table once
+    table = _spf_cache
+    if table is None or len(table) <= top:
+        # sampler threads reach this together; build each size once
         with _spf_lock:
-            if _spf_cache is None:
-                _spf_cache = smallest_prime_factors(_SPF_CACHE_LIMIT)
-    return _spf_cache
+            if _spf_cache is None or len(_spf_cache) <= top:
+                size = min(1 << top.bit_length(), _SPF_CACHE_LIMIT)
+                _spf_cache = smallest_prime_factors(size)
+            table = _spf_cache
+    return table
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -108,7 +118,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 2:
         return out
     if n <= _SPF_CACHE_LIMIT:
-        spf = _spf()
+        spf = _spf(n)
         while n > 1:
             p = int(spf[n])
             e = 0
@@ -146,15 +156,15 @@ def prime_support(values) -> tuple[np.ndarray, np.ndarray]:
 
     The pairs are sorted by index, then by prime; an entry of +-1 yields
     none, a 0 raises ValueError.  Entries up to _SPF_CACHE_LIMIT are read
-    off the smallest-prime-factor table by repeated gathers, larger ones
-    go through factorize.
+    off a smallest-prime-factor table sized to the largest of them, by
+    repeated gathers; larger ones go through factorize.
     """
     values = np.abs(np.asarray(values, dtype=np.int64).ravel())
     if not values.all():
         raise ValueError("0 has no prime support")
-    spf = _spf()
     small = values <= _SPF_CACHE_LIMIT
     idx = np.flatnonzero(small & (values > 1))
+    spf = _spf(int(values[idx].max()) if idx.size else 1)
     rest = values[idx]
     last = np.zeros(len(idx), np.int64)
     idxs, primes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]

@@ -19,10 +19,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 from .arith import prime_support, primes_up_to
 from .families import (
@@ -374,23 +374,51 @@ def sigma_entries(family: FamilyDescriptor, up_to: int) -> dict[int, Fraction]:
     return {int(p): family.sigma_p(int(p)) for p in primes_up_to(up_to) if p > family.A}
 
 
-def _sigma_entries(family_name: str, up_to: int) -> dict[int, Union[Fraction, float]]:
-    if family_name == CLASSIC_OMEGA:
-        return {int(p): Fraction(1, int(p)) for p in primes_up_to(up_to)}
-    return sigma_entries(family_by_name(family_name), up_to)
+# family name -> (top, primes A < p <= top as float64, running sums of their
+# sigma_p with a leading 0)
+_SIGMA_PREFIX: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
+def _sigma_prefix(family_name: str, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted primes A < p <= at least top, and the float prefix sums of sigma_p.
+
+    csum[k] is the sum of the first k entries, added one at a time in prime
+    order, so it equals a float sum over the same primes bit for bit.  The
+    table is cached per family name and rebuilt only when a larger top is
+    asked for, so repeated calls take each exact sigma_p once.  The classic
+    entries 1.0 / p are correctly rounded divisions, equal to
+    float(Fraction(1, p)).
+    """
+    cached = _SIGMA_PREFIX.get(family_name)
+    if cached is None or cached[0] < top:
+        ps = primes_up_to(top)
+        if family_name == CLASSIC_OMEGA:
+            vals = 1.0 / ps
+        else:
+            family = family_by_name(family_name)
+            if family.sigma_p is None:
+                raise ValueError(
+                    f"no exact sigma entries for {family.name!r}; supply a SigmaTable"
+                )
+            ps = ps[ps > family.A]
+            vals = np.array([float(family.sigma_p(p)) for p in ps.tolist()])
+        cached = (top, ps.astype(float), np.concatenate([[0.0], np.cumsum(vals)]))
+        _SIGMA_PREFIX[family_name] = cached
+    return cached[1], cached[2]
 
 
 def _center_sum(family_name: str, B: int, sigma: Optional[SigmaTable]) -> float:
-    entries = sigma.entries if sigma is not None else _sigma_entries(family_name, B)
-    return float(sum(float(v) for p, v in entries.items() if p <= B))
+    """Sum of sigma_p over p <= B: from the SigmaTable if one is given, else
+    read off the family's cached prefix table."""
+    if sigma is not None:
+        return float(sum(float(v) for p, v in sigma.entries.items() if p <= B))
+    ps, csum = _sigma_prefix(family_name, B)
+    return float(csum[np.searchsorted(ps, B, side="right")])
 
 
 def _center_prefix(family_name: str, heights: np.ndarray) -> np.ndarray:
-    """Sum of sigma_p over p <= H(x), per record, via one cumulative table."""
-    top = int(heights.max())
-    entries = _sigma_entries(family_name, top)
-    ps = np.array(sorted(entries), float)
-    csum = np.concatenate([[0.0], np.cumsum([float(entries[int(p)]) for p in sorted(entries)])])
+    """Sum of sigma_p over p <= H(x), per record, from the family's cached prefix table."""
+    ps, csum = _sigma_prefix(family_name, int(heights.max()))
     return csum[np.searchsorted(ps, heights, side="right")]
 
 
@@ -496,7 +524,9 @@ def moments(
     untainted smooth fibres of height >= 3.  Centering "paper" uses
     Delta log log B itself; "empirical" uses the sigma-table sum over
     p <= B, which differs by a constant and converges much faster at
-    accessible heights.  The normal reference moment rides along.
+    accessible heights.  That sum comes from the given SigmaTable, or else
+    from a prefix table cached per family name, so repeated calls take no
+    exact sigma_p twice.  The normal reference moment rides along.
     """
     if float(Delta) <= 0:
         raise ValueError("Delta must be positive (tau_histogram covers Delta = 0)")
@@ -706,7 +736,8 @@ def standardized_values(records, Delta, centering: str = "paper") -> np.ndarray:
     """Per-point standardized counts (omega - center(H)) / sqrt(Delta log log H).
 
     center(H) is Delta log log H ("paper") or the sigma sum over p <= H
-    ("empirical").  Tainted rows and heights below 3 are dropped.
+    ("empirical", read off the same cached per-family prefix table as
+    moments).  Tainted rows and heights below 3 are dropped.
     """
     if float(Delta) <= 0:
         raise ValueError("Delta must be positive")
@@ -736,7 +767,7 @@ def gaussian_distance(records, B: int, Delta, centering: str = "paper") -> float
     if len(z) < 100:
         raise ValueError("need at least 100 usable records")
     n = len(z)
-    cdf = _norm.cdf(z)
+    cdf = ndtr(z)
     steps = np.arange(n, dtype=float)
     return float(max(np.max(steps / n + 1.0 / n - cdf), np.max(cdf - steps / n)))
 
@@ -857,12 +888,24 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
 
     The integers stand in for heights, divisibility for insolubility:
     sigma_p = 1/p and Delta = 1, so the same reductions apply verbatim.
+    Only the primes p <= sqrt(limit) are sieved: each counts at its
+    multiples and its powers are divided out of a remainder per integer.
+    An integer <= limit has at most one prime factor above sqrt(limit), and
+    it has one exactly when the remainder left is above 1.
     """
     if limit < max(low, 3):
         raise ValueError("limit too small")
+    if low < 1:
+        raise ValueError("low must be at least 1")
     om = np.zeros(limit + 1, np.int16)
-    for p in primes_up_to(limit):
+    rem = np.arange(limit + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
         om[p::p] += 1
+        q = p
+        while q <= limit:
+            rem[q::q] //= p
+            q *= p
+    om[rem > 1] += 1
     m = np.arange(low, limit + 1, dtype=np.int64)
     return RecordSet(
         CLASSIC_OMEGA,

@@ -310,3 +310,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "insoluble" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone takes most of an interpreter's set-up time
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fibstat.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

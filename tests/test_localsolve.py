@@ -20,6 +20,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibstat import arith
 from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
 from fibstat.families import cubic_criterion, family_by_name
 from fibstat.localsolve import (
@@ -185,6 +186,22 @@ def test_prime_support_matches_factorize():
         assert prime[index == k].tolist() == sorted(factorize(v)), v
     with pytest.raises(ValueError):
         prime_support(np.array([3, 0]))
+
+
+def test_prime_support_grows_the_spf_table(monkeypatch):
+    limit = arith._SPF_CACHE_LIMIT
+    monkeypatch.setattr(arith, "_spf_cache", None)
+    small = np.array([2, 3, 97, 360, -1001, 4095])
+    index, prime = prime_support(small)
+    # sized to the next power of two above the largest value, not to the limit
+    assert len(arith._spf_cache) == 4096 + 1
+    for k, v in enumerate(small.tolist()):
+        assert prime[index == k].tolist() == sorted(factorize(v)), v
+    near = np.array([limit, limit - 1, -(limit - 3), 999983, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19])
+    index, prime = prime_support(near)
+    assert len(arith._spf_cache) == limit + 1
+    for k, v in enumerate(near.tolist()):
+        assert prime[index == k].tolist() == sorted(factorize(v)), v
 
 
 # ---------------------------------------------------------------------------

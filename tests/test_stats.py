@@ -1,14 +1,18 @@
 """Record sets, moments, histograms, sigma fits, KS distance, predictions."""
 
+import bisect
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
+from fibstat import families, stats
 from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
     DiskDensityEstimate,
@@ -36,7 +40,9 @@ from fibstat.stats import (
     record_set,
     sample_records,
     scan,
+    sigma_entries,
     sigma_partial_sums,
+    standardized_values,
     tau_histogram,
     tau_limit_prediction,
     truncated_moments,
@@ -578,3 +584,76 @@ def test_classic_omega_matches_factorization(m):
 def test_classic_omega_validation():
     with pytest.raises(ValueError):
         classic_omega_set(2)
+    with pytest.raises(ValueError):
+        classic_omega_set(10, low=0)
+
+
+# exact prime powers and prime squares are where the remainder test is tightest
+@pytest.mark.parametrize(
+    "limit, low",
+    [(3, 3), (4, 1), (97, 3), (1000, 7), (10007, 3), (10007, 5000),
+     (2**13, 3), (2**13, 1), (101**2, 3), (101**2, 10000), (7**4, 7)],
+)
+def test_classic_omega_matches_sympy(limit, low):
+    rs = classic_omega_set(limit, low)
+    assert rs.omegas.tolist() == [sympy.primenu(m) for m in range(low, limit + 1)]
+    assert rs.heights.tolist() == list(range(low, limit + 1))
+
+
+# ---------------------------------------------------------------------------
+# empirical centering against the exact entries, summed one by one in prime order
+
+
+def _reference_prefix(entries):
+    """Height -> the float sum of the entries over p <= height, added in prime order."""
+    ps = list(entries)
+    running = [0.0, *itertools.accumulate(float(v) for v in entries.values())]
+    return lambda h: running[bisect.bisect_right(ps, h)]
+
+
+@pytest.mark.parametrize("family", ["classic", "conics"])
+def test_empirical_centering_matches_exact_entries(family):
+    if family == "classic":
+        rs, Delta = classic_omega_set(20_000), 1
+        entries = {int(p): Fraction(1, int(p)) for p in primes_up_to(rs.B)}
+    else:
+        rs, Delta = sample_records(CONICS, 3000, 2000, seed=11), CONICS.Delta
+        entries = sigma_entries(CONICS, rs.B)
+    keep = (~rs.tainted) & (rs.heights >= 3)
+    om, hts = rs.omegas[keep].astype(float), rs.heights[keep]
+    prefix = _reference_prefix(entries)
+    center = prefix(rs.B)
+    scale = math.sqrt(float(Delta) * math.log(math.log(rs.B)))
+    for r in range(1, 5):
+        got = moments(rs, rs.B, Delta, r, centering="empirical").value
+        assert got == float(np.mean(((om - center) / scale) ** r)), r
+    # per point, the prefix at each height is a running sum in prime order
+    centers = np.array([prefix(h) for h in hts.tolist()])
+    llh = np.log(np.log(hts.astype(float)))
+    want = (om - centers) / np.sqrt(float(Delta) * llh)
+    assert standardized_values(rs, Delta, "empirical").tolist() == want.tolist()
+
+
+def test_empirical_centering_takes_each_sigma_once(monkeypatch):
+    calls = {}
+    exact = families.conic_sigma_formula
+
+    def counted(p):
+        calls[p] = calls.get(p, 0) + 1
+        return exact(p)
+
+    monkeypatch.setattr(families, "conic_sigma_formula", counted)
+    monkeypatch.setattr(stats, "_SIGMA_PREFIX", {})
+    rs = sample_records(CONICS, 3000, 500, seed=2)
+    for r in range(1, 5):
+        moments(rs, rs.B, CONICS.Delta, r, centering="empirical")
+    standardized_values(rs, CONICS.Delta, "empirical")
+    gaussian_distance(rs, rs.B, CONICS.Delta, centering="empirical")
+    assert sorted(calls) == [p for p in primes_up_to(3000).tolist() if p > CONICS.A]
+    assert set(calls.values()) == {1}
+    # a larger bound rebuilds the table once; smaller ones read it
+    calls.clear()
+    for B in (5000, 3000, 5000):
+        moments(rs, B, CONICS.Delta, 2, centering="empirical")
+    assert sorted(calls) == [p for p in primes_up_to(5000).tolist() if p > CONICS.A]
+    assert set(calls.values()) == {1}
