@@ -114,6 +114,11 @@ class RunConfig:
             raise ConfigError(f"unknown centering {self.centering!r}")
         if self.depth is not None and self.depth < 1:
             raise ConfigError("depth override must be at least 1")
+        if self.command == "tau" and self.prime_cutoff < 2:
+            raise ConfigError(f"prime cutoff must be at least 2, got {self.prime_cutoff}")
+        # the KS distance needs 100 usable integers, and baseline starts at m = 3
+        if self.command == "baseline" and self.B < 102:
+            raise ConfigError(f"baseline needs B >= 102, got {self.B}")
         if self.command in ("enumerate", "sigma", "ekac", "tau"):
             try:
                 family_by_name(self.family)

@@ -8,7 +8,9 @@ product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
 bad-prime bound A, the growth constant Delta (validated against the declared
 divisor actions), the scalar per-place insolubility test theta, and the
 hooks the vectorized paths run on: theta_grid (at one place, or at one
-prime per row), stable_margin and an optional exact sigma_p.
+prime per row), stable_margin and an optional exact sigma_p (over an
+array of primes).  Record sets carry their descriptor, so the statistics
+layer reads every family-specific behaviour, centering included, here.
 
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
@@ -122,7 +124,9 @@ class FamilyDescriptor:
     rows obstruct at different primes is one call.  stable_margin(p) is
     how far below the sampling depth each coordinate's valuation must stay
     for a residue disk's verdict to be constant across lifts.  sigma_p,
-    when present, gives the exact local density at primes p > A.
+    when present, gives the exact local densities: it takes an int64 array
+    of primes p > A and returns int64 arrays (numerators, denominators),
+    one exact fraction per prime, not necessarily in lowest terms.
     """
 
     name: str
@@ -135,7 +139,7 @@ class FamilyDescriptor:
     stable_margin: Callable[[int], int]
     divisors: tuple[ComponentAction, ...]
     nonsplit: Optional[Callable[[Sequence[int], int], bool]] = None
-    sigma_p: Optional[Callable[[int], Fraction]] = None
+    sigma_p: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.f.monomials != ((1, (1,) * (self.n + 1)),):
@@ -232,8 +236,7 @@ def diagonal_conics() -> FamilyDescriptor:
         stable_margin=lambda p: 3 if p == 2 else 1,
         divisors=tuple(load_bundled_actions("conic_action.txt").values()),
         nonsplit=_conic_nonsplit,
-        # a module-level lookup per call, so a wrapper patched onto the module sees it
-        sigma_p=lambda p: conic_sigma_formula(p),
+        sigma_p=_conic_sigma_terms,
     )
 
 
@@ -717,19 +720,26 @@ def sigma_empirical(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def conic_sigma_formula(p: int) -> Fraction:
-    """Closed form for the conic family's sigma_p, odd p.
+def _conic_sigma_terms(p):
+    """sigma_p = 3(p+1) / (2(p^2+p+1)) for odd primes p, as (numerator, denominator).
 
     Non-split fibres over P^2(F_p) are the three coordinate vertices plus,
     on each of the three coordinate lines, the (p-1)/2 points failing the
-    residue condition: 3 + 3(p-1)/2 in all.  Validated against the
-    exhaustive classification for every odd p up to 97.
+    residue condition: 3 + 3(p-1)/2 = 3(p+1)/2 of the p^2+p+1 points.  p is
+    a Python int (exact at any size) or an int64 array (exact for p < 2^31).
+    """
+    return 3 * (p + 1), 2 * (p * p + p + 1)
+
+
+def conic_sigma_formula(p: int) -> Fraction:
+    """The conic family's sigma_p hook at one odd prime, as a Fraction.
+
+    Validated against the exhaustive classification for every odd p up to 97.
     """
     p = int(p)
     if not is_prime(p) or p == 2:
         raise ValueError("need an odd prime")
-    return Fraction(3 + 3 * (p - 1) // 2, proj_size(2, p))
+    return Fraction(*_conic_sigma_terms(p))
 
 
 def conic_insoluble_density(p: int) -> Fraction:

@@ -170,8 +170,8 @@ def point_slabs(n: int, B: int) -> Iterator[np.ndarray]:
             continue
         grids = np.meshgrid(*([side] * tail_len), indexing="ij")
         tails = np.stack([g.ravel() for g in grids], axis=1)
+        g = np.gcd.reduce(tails, axis=1)
         for lead in range(1, B + 1):
-            g = np.gcd.reduce(tails, axis=1)
             mask = np.gcd(g, lead) == 1
             sel = tails[mask]
             out = np.empty((sel.shape[0], n + 1), dtype=np.int64)

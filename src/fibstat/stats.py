@@ -31,7 +31,6 @@ from .families import (
     ObstructionRecord,
     SigmaTable,
     diagonal_cubics,
-    family_by_name,
     omega_pi,
     sigma_empirical,
 )
@@ -66,7 +65,19 @@ __all__ = [
     "CLASSIC_OMEGA",
 ]
 
-CLASSIC_OMEGA = "classic_omega"
+
+@dataclass(frozen=True)
+class _SigmaFamily:
+    """The part of a FamilyDescriptor that empirical centering reads."""
+
+    name: str
+    A: int
+    sigma_p: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+# the family of the classic cross-check: divisibility by p stands in for
+# insolubility, so sigma_p = 1/p at every prime
+CLASSIC_OMEGA = _SigmaFamily("classic_omega", 1, lambda ps: (np.ones_like(ps), ps))
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +98,11 @@ class RecordSet:
     One row per smooth-fibre point (tainted rows carry the decided part of
     the count only).  singular_count completes the partition: every
     enumerated or sampled point is a row, a singular fibre, or nothing.
+    family is the FamilyDescriptor that produced the rows (CLASSIC_OMEGA
+    for the classic cross-check); empirical centering reads its sigma_p.
     """
 
-    family_name: str
+    family: FamilyDescriptor
     B: int
     S: tuple[Place, ...]
     omegas: np.ndarray
@@ -126,7 +139,7 @@ class RecordSet:
         keep = self.heights <= limit
         singular = self.singular_count if bool(keep.all()) else 0
         return RecordSet(
-            self.family_name,
+            self.family,
             limit,
             self.S,
             self.omegas[keep],
@@ -139,15 +152,16 @@ class RecordSet:
     @staticmethod
     def from_records(
         records: Iterable[ObstructionRecord],
-        family_name: str,
+        family: FamilyDescriptor,
         B: int,
         S,
         singular_count: int = 0,
         sampled: bool = False,
     ) -> "RecordSet":
+        """Columns of a scan() record list, for the columnar reductions."""
         recs = list(records)
         return RecordSet(
-            family_name,
+            family,
             B,
             tuple(S),
             np.array([r.omega for r in recs], np.int64),
@@ -158,19 +172,10 @@ class RecordSet:
         )
 
 
-def _columns(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(records, RecordSet):
-        return (
-            np.asarray(records.omegas, float),
-            np.asarray(records.heights, float),
-            np.asarray(records.tainted, bool),
-        )
-    recs = list(records)
-    return (
-        np.array([r.omega for r in recs], float),
-        np.array([r.point.height for r in recs], float),
-        np.array([r.tainted for r in recs], bool),
-    )
+def _usable(rs: RecordSet) -> tuple[np.ndarray, np.ndarray]:
+    """omega and height, as floats, of the untainted rows of height >= 3."""
+    keep = ~np.asarray(rs.tainted, bool) & (np.asarray(rs.heights) >= 3)
+    return np.asarray(rs.omegas[keep], float), np.asarray(rs.heights[keep], float)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,8 @@ def scan(family: FamilyDescriptor, B: int, S=(INF,)):
     Returns (records, ScanSummary).  Singular fibres are counted, not
     recorded; an undecided place taints its record rather than aborting.
     Deterministic given (family, B, S).  Meant for small B; record_set
-    holds the vectorized large-B path.
+    holds the vectorized large-B path.  The columnar reductions take the
+    records through RecordSet.from_records.
     """
     if B < 3:
         raise ValueError("need B >= 3")
@@ -251,7 +257,7 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
         hts.append(np.abs(rows).max(axis=1))
         tns.append(taint)
     return RecordSet(
-        family.name,
+        family,
         B,
         S,
         np.concatenate(oms),
@@ -352,7 +358,7 @@ def sample_records(
     else:
         parts = [_sample_block(family, blk, S) for blk in blocks]
     return RecordSet(
-        family.name,
+        family,
         B,
         S,
         np.concatenate([p[0] for p in parts]),
@@ -367,58 +373,64 @@ def sample_records(
 # sigma tables and centerings
 
 
+def _sigma_terms(family: FamilyDescriptor, top: int):
+    """The primes A < p <= top and the exact fractions the sigma_p hook gives them."""
+    if family.sigma_p is None:
+        raise ValueError(f"no exact sigma entries for {family.name!r}")
+    ps = primes_up_to(top)
+    ps = ps[ps > family.A]
+    num, den = family.sigma_p(ps)
+    return ps, num, den
+
+
 def sigma_entries(family: FamilyDescriptor, up_to: int) -> dict[int, Fraction]:
     """Exact sigma_p for the primes A < p <= up_to, from the family's sigma_p hook."""
-    if family.sigma_p is None:
-        raise ValueError(f"no exact sigma entries for {family.name!r}; supply a SigmaTable")
-    return {int(p): family.sigma_p(int(p)) for p in primes_up_to(up_to) if p > family.A}
+    ps, num, den = _sigma_terms(family, up_to)
+    return {p: Fraction(n, d) for p, n, d in zip(ps.tolist(), num.tolist(), den.tolist())}
 
 
-# family name -> (top, primes A < p <= top as float64, running sums of their
-# sigma_p with a leading 0)
-_SIGMA_PREFIX: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den correctly rounded, like float(Fraction(num, den)).
+
+    An int64 above 2^53 rounds on its way to float64; such terms are
+    divided as Python ints instead.
+    """
+    vals = num / den
+    big = np.flatnonzero((np.abs(num) > 2**53) | (np.abs(den) > 2**53))
+    vals[big] = [n / d for n, d in zip(num[big].tolist(), den[big].tolist())]
+    return vals
 
 
-def _sigma_prefix(family_name: str, top: int) -> tuple[np.ndarray, np.ndarray]:
+# (sigma_p hook, A) -> (top, primes A < p <= top as float64, running sums of
+# their sigma_p with a leading 0)
+_SIGMA_PREFIX: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
+def _sigma_prefix(family: FamilyDescriptor, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted primes A < p <= at least top, and the float prefix sums of sigma_p.
 
-    csum[k] is the sum of the first k entries, added one at a time in prime
-    order, so it equals a float sum over the same primes bit for bit.  The
-    table is cached per family name and rebuilt only when a larger top is
-    asked for, so repeated calls take each exact sigma_p once.  The classic
-    entries 1.0 / p are correctly rounded divisions, equal to
-    float(Fraction(1, p)).
+    Each entry is the hook's num / den, correctly rounded, so it equals
+    float(Fraction(num, den)); csum[k] is the sum of the first k entries,
+    added one at a time in prime order, so it equals a float sum over the
+    same primes bit for bit.  The table is cached per (sigma_p, A), so a
+    renamed family shares it and a different sigma_p gets its own; it is
+    rebuilt only when a larger top is asked for, and each build makes one
+    sigma_p call.
     """
-    cached = _SIGMA_PREFIX.get(family_name)
+    key = (family.sigma_p, family.A)
+    cached = _SIGMA_PREFIX.get(key)
     if cached is None or cached[0] < top:
-        ps = primes_up_to(top)
-        if family_name == CLASSIC_OMEGA:
-            vals = 1.0 / ps
-        else:
-            family = family_by_name(family_name)
-            if family.sigma_p is None:
-                raise ValueError(
-                    f"no exact sigma entries for {family.name!r}; supply a SigmaTable"
-                )
-            ps = ps[ps > family.A]
-            vals = np.array([float(family.sigma_p(p)) for p in ps.tolist()])
-        cached = (top, ps.astype(float), np.concatenate([[0.0], np.cumsum(vals)]))
-        _SIGMA_PREFIX[family_name] = cached
+        ps, num, den = _sigma_terms(family, top)
+        cached = (top, ps.astype(float), np.concatenate([[0.0], np.cumsum(_ratio(num, den))]))
+        _SIGMA_PREFIX[key] = cached
     return cached[1], cached[2]
 
 
-def _center_sum(family_name: str, B: int, sigma: Optional[SigmaTable]) -> float:
-    """Sum of sigma_p over p <= B: from the SigmaTable if one is given, else
-    read off the family's cached prefix table."""
-    if sigma is not None:
-        return float(sum(float(v) for p, v in sigma.entries.items() if p <= B))
-    ps, csum = _sigma_prefix(family_name, B)
-    return float(csum[np.searchsorted(ps, B, side="right")])
-
-
-def _center_prefix(family_name: str, heights: np.ndarray) -> np.ndarray:
-    """Sum of sigma_p over p <= H(x), per record, from the family's cached prefix table."""
-    ps, csum = _sigma_prefix(family_name, int(heights.max()))
+def _center_sums(family: FamilyDescriptor, heights: np.ndarray) -> np.ndarray:
+    """Sum of sigma_p over p <= h for each height h, from the family's cached prefix table."""
+    if not len(heights):
+        return np.zeros(0)
+    ps, csum = _sigma_prefix(family, int(heights.max()))
     return csum[np.searchsorted(ps, heights, side="right")]
 
 
@@ -511,22 +523,21 @@ _CENTERINGS = ("paper", "empirical")
 
 
 def moments(
-    records,
+    records: RecordSet,
     B: int,
     Delta,
     r: int,
     centering: str = "paper",
-    sigma: Optional[SigmaTable] = None,
 ) -> MomentReport:
     """Standardized moment of the obstruction counts at height bound B.
 
     The r-th power mean of (omega - center) / sqrt(Delta log log B) over
     untainted smooth fibres of height >= 3.  Centering "paper" uses
-    Delta log log B itself; "empirical" uses the sigma-table sum over
-    p <= B, which differs by a constant and converges much faster at
-    accessible heights.  That sum comes from the given SigmaTable, or else
-    from a prefix table cached per family name, so repeated calls take no
-    exact sigma_p twice.  The normal reference moment rides along.
+    Delta log log B itself; "empirical" uses the sum of the record set's
+    family sigma_p over p <= B, which differs by a constant and converges
+    much faster at accessible heights.  That sum is read off the family's
+    cached prefix table, so repeated calls take no exact sigma_p twice.
+    The normal reference moment rides along.
     """
     if float(Delta) <= 0:
         raise ValueError("Delta must be positive (tau_histogram covers Delta = 0)")
@@ -536,19 +547,14 @@ def moments(
         raise ValueError(f"centering must be one of {_CENTERINGS}")
     if r == 0:
         return MomentReport(B, 0, 1.0, centering, 1.0)
-    om, hts, taint = _columns(records)
-    keep = (~taint) & (hts >= 3)
-    om = om[keep]
+    om, _ = _usable(records)
     if not len(om):
         raise ValueError("no usable records")
     llB = math.log(math.log(B))
     if centering == "paper":
         center = float(Delta) * llB
     else:
-        name = records.family_name if isinstance(records, RecordSet) else None
-        center = _center_sum(name, B, sigma) if (sigma is not None or name) else None
-        if center is None:
-            raise ValueError("empirical centering needs a RecordSet or a SigmaTable")
+        center = float(_center_sums(records.family, np.array([B]))[0])
     scale = math.sqrt(float(Delta) * llB)
     value = float(np.mean(((om - center) / scale) ** r))
     return MomentReport(B, int(r), value, centering, _mu_reference(int(r)))
@@ -670,36 +676,29 @@ class TauHistogram:
                 raise ValueError("masses must be counts over the point count")
 
 
-def tau_histogram(records, B: Optional[int] = None, singular_count: int = 0) -> TauHistogram:
+def _untainted_bins(rs: RecordSet) -> np.ndarray:
+    """Number of untainted rows with omega = j, for j = 0, 1, ..."""
+    om = np.asarray(rs.omegas)
+    if not np.array_equal(om, np.round(om)):
+        raise ValueError("histogram needs integer counts")
+    return np.bincount(om.astype(np.int64)[~np.asarray(rs.tainted, bool)])
+
+
+def tau_histogram(records: RecordSet) -> TauHistogram:
     """Histogram of omega over untainted smooth fibres, exact fractions.
 
-    With a RecordSet the bound and singular count come from the set; with a
-    plain record list they can be passed in.
+    The bound and the singular count come from the set.
     """
-    if isinstance(records, RecordSet):
-        B = records.B if B is None else B
-        singular_count = records.singular_count
-        om = np.asarray(records.omegas)
-        if not np.array_equal(om, np.round(om)):
-            raise ValueError("histogram needs integer counts")
-        om = om.astype(np.int64)
-        taint = np.asarray(records.tainted, bool)
-        kept = om[~taint]
-        tainted_count = int(taint.sum())
-    else:
-        recs = list(records)
-        if B is None:
-            raise ValueError("B is required with a plain record list")
-        kept = np.array([r.omega for r in recs if not r.tainted], np.int64)
-        tainted_count = sum(1 for r in recs if r.tainted)
-    total = len(kept) + tainted_count + singular_count
-    binned = np.bincount(kept) if len(kept) else np.array([], np.int64)
+    binned = _untainted_bins(records)
+    tainted_count = records.tainted_count
+    total = int(binned.sum()) + tainted_count + records.singular_count
     counts = {int(j): int(c) for j, c in enumerate(binned) if c}
     masses = {j: Fraction(c, total) for j, c in counts.items()}
-    return TauHistogram(int(B), counts, masses, tainted_count, singular_count, total)
+    singular = records.singular_count
+    return TauHistogram(int(records.B), counts, masses, tainted_count, singular, total)
 
 
-def n_moments(records, r: int) -> Fraction:
+def n_moments(records: RecordSet, r: int) -> Fraction:
     """Average of omega^r over untainted smooth fibres, exact.
 
     Equals sum_j j^r tau(j) rescaled by point_count/untainted_count, since
@@ -707,56 +706,40 @@ def n_moments(records, r: int) -> Fraction:
     """
     if r < 1 or int(r) != r:
         raise ValueError("moment order must be a positive integer")
-    if isinstance(records, RecordSet):
-        om = np.asarray(records.omegas)
-        if not np.array_equal(om, np.round(om)):
-            raise ValueError("integer counts required")
-        kept = om.astype(np.int64)[~np.asarray(records.tainted, bool)]
-        # power sum through bincount, in exact integers
-        binned = np.bincount(kept) if len(kept) else np.array([], np.int64)
-        power = sum(int(c) * j**r for j, c in enumerate(binned))
-        count = len(kept)
-    else:
-        power = count = 0
-        for rec in records:
-            if rec.tainted:
-                continue
-            power += rec.omega**r
-            count += 1
+    binned = _untainted_bins(records)
+    count = int(binned.sum())
     if count == 0:
         raise ValueError("no untainted records")
-    return Fraction(power, count)
+    # power sum in exact integers
+    return Fraction(sum(int(c) * j**r for j, c in enumerate(binned)), count)
 
 
 # ---------------------------------------------------------------------------
 # distance to the normal law
 
 
-def standardized_values(records, Delta, centering: str = "paper") -> np.ndarray:
+def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> np.ndarray:
     """Per-point standardized counts (omega - center(H)) / sqrt(Delta log log H).
 
-    center(H) is Delta log log H ("paper") or the sigma sum over p <= H
-    ("empirical", read off the same cached per-family prefix table as
-    moments).  Tainted rows and heights below 3 are dropped.
+    center(H) is Delta log log H ("paper") or the sum of the family's
+    sigma_p over p <= H ("empirical", read off the same cached prefix table
+    as moments).  Tainted rows and heights below 3 are dropped; with no
+    row left the result is empty under either centering.
     """
     if float(Delta) <= 0:
         raise ValueError("Delta must be positive")
     if centering not in _CENTERINGS:
         raise ValueError(f"centering must be one of {_CENTERINGS}")
-    om, hts, taint = _columns(records)
-    keep = (~taint) & (hts >= 3)
-    om, hts = om[keep], hts[keep]
+    om, hts = _usable(records)
     llh = np.log(np.log(hts))
     if centering == "paper":
         center = float(Delta) * llh
     else:
-        if not isinstance(records, RecordSet):
-            raise ValueError("empirical centering needs a RecordSet")
-        center = _center_prefix(records.family_name, hts)
+        center = _center_sums(records.family, hts)
     return (om - center) / np.sqrt(float(Delta) * llh)
 
 
-def gaussian_distance(records, B: int, Delta, centering: str = "paper") -> float:
+def gaussian_distance(records: RecordSet, B: int, Delta, centering: str = "paper") -> float:
     """Kolmogorov-Smirnov distance between the standardized counts and the
     standard normal.
 

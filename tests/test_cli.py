@@ -1,5 +1,8 @@
 """CLI runs: artifacts, manifests, round-trips, exit codes, determinism."""
 
+import ast
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fibstat import cli
+from fibstat import cli, stats
 from fibstat.cli import RunConfig, main, read_report
 from fibstat.families import SigmaTable, conic_sigma_formula
 from fibstat.projective import count_points
@@ -208,13 +211,24 @@ def test_tau_taint_ceiling_exit(tmp_path, monkeypatch, capsys):
         om = np.zeros(n, np.int64)
         taint = np.zeros(n, bool)
         taint[:5] = True  # 0.5% tainted, above the 0.1% ceiling
-        return RecordSet(family.name, B, tuple(S), om,
+        return RecordSet(family, B, tuple(S), om,
                          np.full(n, B, np.int64), taint, 0)
 
     monkeypatch.setattr(cli, "record_set", fake_record_set)
     code, _ = run_cli(tmp_path, "tau", "--B", "10")
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "taint"
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "--family", "diagonal-cubics", "--B", "4", "--prime-cutoff", "1"),
+    ("tau", "--B", "4", "--prime-cutoff", "0"),
+    ("baseline", "--B", "101"),
+])
+def test_statistical_config_errors_exit_2(tmp_path, capsys, argv):
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
 def test_enumerate_invariant_violation_exit(tmp_path, monkeypatch, capsys):
@@ -236,6 +250,13 @@ def test_baseline_small_run(tmp_path):
     assert set(report["ks"]) == {1000, 2000, 20000}
     for v in report["ks"].values():
         assert 0 < v < 1
+
+
+def test_baseline_smallest_bound(tmp_path):
+    # 100 integers 3..102: the fewest the KS distance accepts
+    code, out = run_cli(tmp_path, "baseline", "--B", "102")
+    assert code == 0
+    assert set(read_report(str(out) + ".baseline.csv")["ks"]) == {102, 1000}
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +342,12 @@ def test_cli_import_leaves_scipy_stats_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_stats_leaves_family_lookup_to_cli():
+    # record sets carry their family, so only the command line resolves names
+    tree = ast.parse(inspect.getsource(stats))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "family_by_name" not in names
+    assert "family_name" not in {f.name for f in dataclasses.fields(RecordSet)}

@@ -15,6 +15,7 @@ from fibstat.families import (
     ObstructionRecord,
     Undecided,
     calibrate_A,
+    conic_insoluble_density,
     conic_insoluble_grid,
     conic_two_adic_density,
     cube_class,
@@ -324,6 +325,15 @@ def test_sigma_exact_rejections():
 
 # ---------------------------------------------------------------------------
 # sigma_p empirical
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_conic_insoluble_density_matches_sampled_disks(p):
+    # depth 12 leaves 2-adic unit parts mod 8 pinned on almost every disk
+    est = sigma_empirical(diagonal_conics(), p, 40000, 12 if p == 2 else 6, seed=p)
+    exact = conic_insoluble_density(p)
+    assert isinstance(exact, Fraction)
+    assert abs(est.value - float(exact)) <= 4 * est.standard_error + est.unknown_fraction
 
 
 def test_sigma_empirical_conics_vs_exact_disks():

@@ -78,6 +78,9 @@ def test_slabs_match_enumeration():
     got = {tuple(int(v) for v in row) for row in slabs}
     assert len(got) == slabs.shape[0]
     assert got == {p.coords for p in enumerate_points(2, 5)}
+    # same rows in the same order, through every zero prefix
+    rows = np.concatenate(list(point_slabs(3, 6))).tolist()
+    assert rows == [list(p.coords) for p in enumerate_points(3, 6)]
 
 
 def test_heights_and_canonical_form():

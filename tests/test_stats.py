@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from fibstat import families, stats
+from fibstat import stats
 from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
     DiskDensityEstimate,
@@ -77,9 +77,7 @@ def test_scan_rejects_tiny_bound():
 def test_vectorized_conic_route_matches_scalar():
     for S in ((INF,), ()):
         records, summary = scan(CONICS, 12, S)
-        via_scan = RecordSet.from_records(
-            records, "diagonal_conics", 12, S, summary.singular_count
-        )
+        via_scan = RecordSet.from_records(records, CONICS, 12, S, summary.singular_count)
         fast = record_set(CONICS, 12, S)
         assert np.array_equal(via_scan.omegas, fast.omegas)
         assert np.array_equal(via_scan.heights, fast.heights)
@@ -88,9 +86,7 @@ def test_vectorized_conic_route_matches_scalar():
 
 def test_vectorized_cubic_route_matches_scalar():
     records, summary = scan(CUBICS, 6)
-    via_scan = RecordSet.from_records(
-        records, "diagonal_cubics", 6, (INF,), summary.singular_count
-    )
+    via_scan = RecordSet.from_records(records, CUBICS, 6, (INF,), summary.singular_count)
     fast = record_set(CUBICS, 6)
     assert np.array_equal(via_scan.omegas, fast.omegas)
     assert np.array_equal(via_scan.heights, fast.heights)
@@ -141,7 +137,7 @@ def test_truncate_height():
 def test_record_set_column_mismatch():
     with pytest.raises(ValueError):
         RecordSet(
-            "x",
+            CONICS,
             5,
             (),
             np.zeros(3, np.int64),
@@ -315,13 +311,12 @@ def test_moments_validation():
         moments(rs, 500, 1, -1)
     with pytest.raises(ValueError):
         moments(rs, 500, 1, 2, centering="other")
-    records, _ = scan(CONICS, 8)
-    with pytest.raises(ValueError, match="RecordSet or a SigmaTable"):
-        moments(records, 8, Fraction(3, 2), 1, centering="empirical")
-    # a sigma table unlocks empirical centering for plain record lists
-    tab = build_sigma_table(CONICS, 200)
-    rep = moments(records, 8, Fraction(3, 2), 1, centering="empirical", sigma=tab)
-    assert isinstance(rep, MomentReport)
+    # a family without exact sigma_p has no empirical centering
+    inexact = dataclasses.replace(CONICS, sigma_p=None)
+    rs = RecordSet.from_records(scan(inexact, 8)[0], inexact, 8, (INF,))
+    assert isinstance(moments(rs, 8, Fraction(3, 2), 1), MomentReport)
+    with pytest.raises(ValueError, match="no exact sigma entries"):
+        moments(rs, 8, Fraction(3, 2), 1, centering="empirical")
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +413,14 @@ def test_tau_partition_identity_cubics():
 
 def test_tau_histogram_from_plain_records():
     records, summary = scan(CONICS, 8)
-    th = tau_histogram(records, B=8, singular_count=summary.singular_count)
+    th = tau_histogram(RecordSet.from_records(records, CONICS, 8, (INF,), summary.singular_count))
     rs_th = tau_histogram(record_set(CONICS, 8))
-    assert th.counts == rs_th.counts
-    assert th.point_count == rs_th.point_count
-    with pytest.raises(ValueError):
-        tau_histogram(records)  # B is required for plain lists
+    assert th == rs_th
 
 
 def test_tau_histogram_rejects_non_integer():
     rs = RecordSet(
-        "x", 5, (), np.array([0.5, 1.0]), np.array([3, 4]), np.zeros(2, bool), 0
+        CONICS, 5, (), np.array([0.5, 1.0]), np.array([3, 4]), np.zeros(2, bool), 0
     )
     with pytest.raises(ValueError):
         tau_histogram(rs)
@@ -464,7 +456,7 @@ def test_gaussian_distance_on_synthetic_normal():
     H, N = 1000, 5000
     center = math.log(math.log(H))
     om = center + math.sqrt(center) * rng.standard_normal(N)
-    rs = RecordSet("synthetic", H, (), om, np.full(N, H, np.int64), np.zeros(N, bool), 0)
+    rs = RecordSet(CLASSIC_OMEGA, H, (), om, np.full(N, H, np.int64), np.zeros(N, bool), 0)
     ks = gaussian_distance(rs, H, 1)
     assert ks < 2 / math.sqrt(N)
 
@@ -473,7 +465,7 @@ def test_gaussian_distance_degenerate_mass():
     H = 1000
     center = math.log(math.log(H))
     om = np.full(200, center)
-    rs = RecordSet("synthetic", H, (), om, np.full(200, H, np.int64), np.zeros(200, bool), 0)
+    rs = RecordSet(CLASSIC_OMEGA, H, (), om, np.full(200, H, np.int64), np.zeros(200, bool), 0)
     assert abs(gaussian_distance(rs, H, 1) - 0.5) < 1e-12
 
 
@@ -483,9 +475,12 @@ def test_gaussian_distance_validation():
         gaussian_distance(rs, 50, 0)
     with pytest.raises(ValueError):
         gaussian_distance(classic_omega_set(90), 90, 1)  # under 100 rows
-    records, _ = scan(CONICS, 10)
-    with pytest.raises(ValueError):
-        gaussian_distance(records, 10, Fraction(3, 2), centering="empirical")
+    # no row of height >= 3 is left: both centerings standardize nothing
+    empty = classic_omega_set(100).truncate_height(2)
+    for centering in ("paper", "empirical"):
+        assert standardized_values(empty, 1, centering).tolist() == []
+        with pytest.raises(ValueError, match="at least 100 usable records"):
+            gaussian_distance(empty, 2, 1, centering=centering)
 
 
 def test_gaussian_distance_classic_both_centerings():
@@ -571,7 +566,7 @@ def test_classic_omega_values():
     expect = [1, 1, 1, 2, 1, 1, 1, 2, 1, 2, 1, 2, 2, 1, 1, 2, 1, 2, 2, 2, 1, 2, 1, 2, 1, 2, 1, 3]
     assert rs.omegas.tolist() == expect
     assert rs.heights.tolist() == list(range(3, 31))
-    assert rs.family_name == CLASSIC_OMEGA
+    assert rs.family is CLASSIC_OMEGA
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,15 +631,15 @@ def test_empirical_centering_matches_exact_entries(family):
 
 def test_empirical_centering_takes_each_sigma_once(monkeypatch):
     calls = {}
-    exact = families.conic_sigma_formula
 
-    def counted(p):
-        calls[p] = calls.get(p, 0) + 1
-        return exact(p)
+    def counted(ps):
+        for p in ps.tolist():
+            calls[p] = calls.get(p, 0) + 1
+        return CONICS.sigma_p(ps)
 
-    monkeypatch.setattr(families, "conic_sigma_formula", counted)
+    fam = dataclasses.replace(CONICS, sigma_p=counted)
     monkeypatch.setattr(stats, "_SIGMA_PREFIX", {})
-    rs = sample_records(CONICS, 3000, 500, seed=2)
+    rs = sample_records(fam, 3000, 500, seed=2)
     for r in range(1, 5):
         moments(rs, rs.B, CONICS.Delta, r, centering="empirical")
     standardized_values(rs, CONICS.Delta, "empirical")
@@ -657,3 +652,41 @@ def test_empirical_centering_takes_each_sigma_once(monkeypatch):
         moments(rs, B, CONICS.Delta, 2, centering="empirical")
     assert sorted(calls) == [p for p in primes_up_to(5000).tolist() if p > CONICS.A]
     assert set(calls.values()) == {1}
+
+
+def test_empirical_centering_follows_the_family_not_its_name():
+    rs = record_set(CONICS, 12)
+    renamed = record_set(dataclasses.replace(CONICS, name="renamed"), 12)
+    for r in range(1, 5):
+        assert moments(renamed, 12, CONICS.Delta, r, "empirical") == moments(
+            rs, 12, CONICS.Delta, r, "empirical"
+        )
+    assert (
+        standardized_values(renamed, CONICS.Delta, "empirical").tolist()
+        == standardized_values(rs, CONICS.Delta, "empirical").tolist()
+    )
+    assert gaussian_distance(renamed, 12, CONICS.Delta, "empirical") == gaussian_distance(
+        rs, 12, CONICS.Delta, "empirical"
+    )
+    # the same name with another sigma_p is centred by its own table
+    other = dataclasses.replace(CONICS, sigma_p=lambda ps: (np.ones_like(ps), ps))
+    got = moments(dataclasses.replace(rs, family=other), 12, CONICS.Delta, 1, "empirical")
+    center = 1 / 3 + 1 / 5 + 1 / 7 + 1 / 11
+    keep = rs.heights >= 3
+    scale = math.sqrt(1.5 * math.log(math.log(12)))
+    assert got.value == float(np.mean((rs.omegas[keep] - center) / scale))
+    assert got != moments(rs, 12, CONICS.Delta, 1, "empirical")
+
+
+def test_conic_sigma_hook_floats_match_the_exact_formula():
+    # every odd prime below 10^6, then primes where 2(p^2+p+1) passes 2^53
+    # (from 6.7e7) and 2^54 (from 9.5e7), where an int64 is rounded to float
+    small = primes_up_to(10**6)[1:]
+    large = [67_108_879, 94_906_297, 100_000_037, 100_000_039, 2_000_000_011, 2_147_483_647]
+    ps = np.concatenate([small, np.array(large, np.int64)])
+    num, den = CONICS.sigma_p(ps)
+    want = [float(conic_sigma_formula(p)) for p in ps.tolist()]
+    assert stats._ratio(num, den).tolist() == want
+    assert [Fraction(n, d) for n, d in zip(num[-6:].tolist(), den[-6:].tolist())] == [
+        conic_sigma_formula(p) for p in large
+    ]
