@@ -27,7 +27,7 @@ SEED = 12
 sets = {}
 for B in (10**3, 10**4, 10**5):
     sets[B] = sample_records(fam, B, N, SEED, threads=2)
-    ks = gaussian_distance(sets[B], B, DELTA, centering="empirical")
+    ks = gaussian_distance(sets[B], DELTA, centering="empirical")
     llB = math.log(math.log(B))
     print(f"B = 10^{round(math.log10(B))}: log log B = {llB:.3f}, KS = {ks:.4f}")
 

@@ -426,7 +426,7 @@ def _run_ekac(cfg: RunConfig):
     )
     _taint_check(rs.tainted_count, len(rs.omegas))
     rows = _moment_rows(rs, cfg, fam.Delta)
-    ks = gaussian_distance(rs, cfg.B, fam.Delta, centering=cfg.centering)
+    ks = gaussian_distance(rs, fam.Delta, centering=cfg.centering)
     rows.append(("ks", None, ks, None, None))
     z = standardized_values(rs, fam.Delta, centering=cfg.centering)
     counts, edges = np.histogram(z, bins=HIST_BINS, range=HIST_RANGE)
@@ -543,12 +543,10 @@ def _run_hilbert(cfg: RunConfig):
 def _run_baseline(cfg: RunConfig):
     rs = classic_omega_set(cfg.B)
     rows = _moment_rows(rs, cfg, 1)
-    stages = sorted({max(1000, cfg.B // 100), max(1000, cfg.B // 10), cfg.B})
+    stages = sorted({min(cfg.B, max(1000, cfg.B // k)) for k in (100, 10, 1)})
     ks_at = {}
     for limit in stages:
-        ks_at[limit] = gaussian_distance(
-            rs.truncate_height(limit), limit, 1, centering=cfg.centering
-        )
+        ks_at[limit] = gaussian_distance(rs.truncate_height(limit), 1, centering=cfg.centering)
         rows.append(("ks", limit, ks_at[limit], None, None))
     meta = {"B": cfg.B, "centering": cfg.centering, "family": "classic_omega"}
     results = {"ks": {str(k): v for k, v in ks_at.items()}}

@@ -262,27 +262,116 @@ def _strip(col: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError("zero entry has no p-adic valuation")
 
 
+def _digit_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray], base: int):
+    """Each row's coordinate digits packed into one code, digit i weighted base**i.
+
+    digits maps an int64 array of nonzero values to their digits at one
+    prime, ints below base.  With m = max |entry|, they are computed once
+    for the 2m + 1 values in [-m, m] and gathered, one gather per
+    coordinate.  That pays only when 2m + 1 is at most the row count; for
+    wider rows None is returned and the caller takes its per-entry route.
+    A zero entry raises ValueError.
+    """
+    m = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
+    if 2 * m + 1 > len(coeffs):
+        return None
+    if not coeffs.all():
+        raise ValueError("zero entry has no p-adic valuation")
+    # position v holds value v, so a negative entry reads from the end
+    values = np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
+    values[0] = 1  # stands in for 0, which no row holds
+    table = digits(values)
+    codes = table[coeffs[:, 0]]
+    for i in range(1, coeffs.shape[1]):
+        codes += (table * base**i)[coeffs[:, i]]
+    return codes
+
+
+def _squares(p: int) -> np.ndarray:
+    # qr[r] for 0 <= r < p: is r a nonzero square mod p
+    qr = np.zeros(p, dtype=bool)
+    r = np.arange(1, p, dtype=np.int64)
+    qr[r * r % p] = True
+    return qr
+
+
+def _nonresidue(units: np.ndarray, p: int) -> np.ndarray:
+    # (u|p) = -1 for units at an odd prime: read off the table of squares
+    # when there are at least p units, from Jacobi symbols otherwise
+    if p > len(units):
+        return jacobi(units, p) < 0
+    return ~_squares(p)[units % p]
+
+
+def _conic_digits(values: np.ndarray, p: int) -> np.ndarray:
+    """What the conic verdict at p reads of each nonzero value, as a digit.
+
+    At an odd prime: 2 (v_p mod 2) + [unit part a non-residue], in 0..3.
+    At p = 2: 4 (v_2 mod 2) + (unit part mod 8) // 2, in 0..7.
+    """
+    v, u = _strip(values, p)
+    if p == 2:
+        return (v & 1) * 4 + (u & 7) // 2
+    return (v & 1) * 2 + _nonresidue(u, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _conic_digit_verdicts(p: int) -> np.ndarray:
+    """The conic verdict at p for each digit triple, by code da + D db + D^2 dc.
+
+    Each digit gets one representative value, p^e times 1 or the least
+    non-residue (2^e u at p = 2), and the triples of representatives go
+    through the per-entry formula.
+    """
+    if p == 2:
+        reps = [2**e * u for e in (0, 1) for u in (1, 3, 5, 7)]
+    else:
+        nonres = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+        reps = [p**e * u for e in (0, 1) for u in (1, nonres)]
+    # product() runs its last factor fastest, so reversed rows are (a, b, c)
+    triples = np.array(list(itertools.product(reps, repeat=3)), np.int64)[:, ::-1]
+    return _conic_formula(triples, p)
+
+
 def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
     """Vectorized theta for the conic family: a boolean per coefficient row.
 
     coeffs is an (N, 3) integer array with no zero entries (a zero raises
     ValueError at a finite place).  place is INF, a prime, or an int64
-    array of N odd primes, one per row.  Residue symbols come from an O(p)
-    table of squares when one prime serves at least p rows, and from
-    Jacobi symbols of the unit parts otherwise, so memory never grows with
-    p.  Agrees with the scalar Hilbert-symbol route entry by entry.
+    array of N odd primes, one per row.  At one prime, rows bounded by m
+    with 2m + 1 at most N take the digit route: each value in [-m, m]
+    gets its digit (_conic_digits) once, and a row is three gathers plus
+    one into a verdict per digit triple.  Other rows, and rows with a
+    prime each, take the per-entry formula on valuations and unit parts.
+    Agrees with the scalar Hilbert-symbol route entry by entry.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    per_row = np.ndim(place) > 0
-    if not per_row and place == INF:
+    if np.ndim(place):
+        return _conic_formula(coeffs, np.asarray(place, dtype=np.int64))
+    if place == INF:
+        a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
         return ((a > 0) & (b > 0) & (c < 0)) | ((a < 0) & (b < 0) & (c > 0))
-    p = np.asarray(place, dtype=np.int64) if per_row else int(place)
+    p = int(place)
+    codes = _digit_codes(coeffs, lambda vals: _conic_digits(vals, p), 8 if p == 2 else 4)
+    if codes is not None:
+        return _conic_digit_verdicts(p)[codes]
+    return _conic_formula(coeffs, p)
+
+
+def _conic_formula(coeffs: np.ndarray, p: int | np.ndarray) -> np.ndarray:
+    """Conic insolubility at a finite prime, or one odd prime per row, entry by entry.
+
+    Residue symbols come from an O(p) table of squares when one prime
+    serves at least p rows, and from Jacobi symbols of the unit parts
+    otherwise, so memory never grows with p.
+    """
+    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
     va, ua = _strip(a, p)
     vb, ub = _strip(b, p)
     vc, uc = _strip(c, p)
     x1 = (va ^ vc) & 1
     x2 = (vb ^ vc) & 1
+    per_row = np.ndim(p) > 0
     if not per_row and p == 2:
         u1 = (ua % 8) * (uc % 8) % 8
         u2 = (ub % 8) * (uc % 8) % 8
@@ -301,9 +390,7 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
         s1 = sym[0] * sym[2] < 0
         s2 = sym[1] * sym[2] < 0
     else:
-        qr = np.zeros(p, dtype=bool)
-        r = np.arange(1, p, dtype=np.int64)
-        qr[r * r % p] = True
+        qr = _squares(p)
         s1 = ~qr[(ua % p) * (uc % p) % p]
         s2 = ~qr[(ub % p) * (uc % p) % p]
     sign = (x1 & x2) * (p % 4 == 3) + x2 * s1 + x1 * s2
@@ -395,20 +482,35 @@ def _canonical_digit_codes() -> np.ndarray:
     per-coordinate unit-cube factors.  Each move is a bijection on
     solution sets, so solubility is a function of the canonical code.
     """
-    table = np.empty(9**4, dtype=np.int64)
-    for code in range(9**4):
-        digits = [(code // 9**i) % 9 for i in range(4)]
-        best = None
-        for s in range(3):
-            for t in range(3):
-                moved = sorted(
-                    (((d // 3 + s) % 3) * 3 + (d % 3 + t) % 3) for d in digits
-                )
-                packed = sum(d * 9**i for i, d in enumerate(moved))
-                if best is None or packed < best:
-                    best = packed
-        table[code] = best
-    return table
+    digits = np.arange(9**4)[:, None] // 9 ** np.arange(4) % 9
+    # each (s, t) move, sorted and packed; the canonical code is the least
+    moved = [
+        np.sort((digits // 3 + s) % 3 * 3 + (digits % 3 + t) % 3, axis=1) @ 9 ** np.arange(4)
+        for s in range(3)
+        for t in range(3)
+    ]
+    return np.min(moved, axis=0)
+
+
+def _cube_class_table(p: int) -> np.ndarray:
+    """cls[u mod k] is the cube class of the unit u, k = 9, p or 1 as p = 3, 1 or 2 mod 3.
+
+    For p = 2 mod 3 every unit is a cube, so one entry serves them all.
+    """
+    if p == 3:
+        table = np.full(9, -1, dtype=np.int8)
+        for u, c in ((1, 0), (8, 0), (2, 1), (7, 1), (4, 2), (5, 2)):
+            table[u] = c
+        return table
+    if p % 3 != 1:
+        return np.zeros(1, dtype=np.int8)
+    e = (p - 1) // 3
+    power = np.array([pow(u, e, p) for u in range(p)])
+    noncube = pow(_smallest_noncube(p), e, p)
+    return np.where(power == 1, 0, np.where(power == noncube, 1, 2)).astype(np.int8)
+
+
+_RANKS = (Solubility.SOLUBLE, Solubility.INSOLUBLE, Solubility.UNKNOWN)
 
 
 class CubicDecider:
@@ -418,6 +520,8 @@ class CubicDecider:
     The canonical class of (y_0..y_3) records each coordinate's valuation
     mod 3 and unit cube class, up to permutation and common scalings; the
     p-adic search engine runs once per class on a small representative.
+    The unit class table and the verdict per canonical code are built once
+    and kept.
     """
 
     def __init__(self, p: int, depth_bound: Optional[int] = None, node_budget: int = 200_000):
@@ -426,7 +530,9 @@ class CubicDecider:
         self.p = int(p)
         self.depth_bound = depth_bound
         self.node_budget = node_budget
-        self._by_code: dict[int, Solubility] = {}
+        self._classes = _cube_class_table(self.p)
+        # index into _RANKS per canonical code, -1 until that code is searched
+        self._status = np.full(9**4, -1, dtype=np.int8)
 
     # -- scalar path
 
@@ -451,54 +557,48 @@ class CubicDecider:
         return tuple(out)
 
     def _decide_code(self, code: int) -> Solubility:
-        got = self._by_code.get(code)
-        if got is None:
+        if self._status[code] < 0:
             form = HomogeneousForm.diagonal(self._rep_coeffs(code), _CUBIC_FORM_DEGREE)
             verdict = padic_point_search(
                 form, self.p, depth_bound=self.depth_bound, node_budget=self.node_budget
             )
-            got = verdict.status
-            self._by_code[code] = got
-        return got
+            self._status[code] = _RANKS.index(verdict.status)
+        return _RANKS[self._status[code]]
 
     def decide(self, coords: Sequence[int]) -> Solubility:
         return self._decide_code(self._code_of(coords))
 
     # -- vectorized path
 
-    def _class_table(self) -> np.ndarray:
-        p = self.p
-        if p == 3:
-            table = np.full(9, -1, dtype=np.int64)
-            for u, c in ((1, 0), (8, 0), (2, 1), (7, 1), (4, 2), (5, 2)):
-                table[u] = c
-            return table
-        table = np.zeros(p, dtype=np.int64)
-        if p % 3 == 1:
-            for u in range(1, p):
-                table[u] = cube_class(u, p)
-        return table
+    def _digits(self, values: np.ndarray) -> np.ndarray:
+        # (valuation mod 3, cube class of the unit part) as one base-9 digit
+        v, u = _strip(values, self.p)
+        return (v % 3) * 3 + self._classes[u % len(self._classes)]
 
     def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
 
         coeffs is (N, 4) with nonzero entries; a zero raises ValueError.
+        A row's code packs its four digits (_digits).  Rows bounded by m
+        with 2m + 1 at most N read them from a table over [-m, m], four
+        gathers and no stripping; wider rows strip each entry.  The code's
+        canonical class reads its verdict off the kept status array; only
+        classes still unset are searched.
         """
-        p = self.p
         coeffs = np.asarray(coeffs, dtype=np.int64)
-        table = self._class_table()
-        mod = 9 if p == 3 else p
-        codes = np.zeros(len(coeffs), dtype=np.int64)
-        for i in range(4):
-            v, u = _strip(coeffs[:, i], p)
-            cls = table[u % mod]
-            codes += ((v % 3) * 3 + cls) * 9**i
-        canon = _canonical_digit_codes()[codes]
-        status = np.full(9**4, -1, dtype=np.int8)
-        rank = {Solubility.SOLUBLE: 0, Solubility.INSOLUBLE: 1, Solubility.UNKNOWN: 2}
-        for code in np.unique(canon):
-            status[code] = rank[self._decide_code(int(code))]
-        return status[canon]
+        codes = _digit_codes(coeffs, self._digits, 9)
+        if codes is None:
+            codes = self._digits(coeffs[:, 0])
+            for i in range(1, 4):
+                codes += self._digits(coeffs[:, i]) * 9**i
+        canonical = _canonical_digit_codes()
+        verdicts = self._status[canonical][codes]
+        unset = verdicts < 0
+        if unset.any():
+            for code in np.unique(canonical[codes[unset]]).tolist():
+                self._decide_code(code)
+            verdicts = self._status[canonical][codes]
+        return verdicts
 
 
 _CUBIC_DECIDERS: dict[int, CubicDecider] = {}

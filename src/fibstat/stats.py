@@ -14,6 +14,7 @@ the integers up to a bound, pushed through the same reductions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -217,10 +218,11 @@ def _block_omega(family: FamilyDescriptor, rows: np.ndarray, support, S: tuple):
 
     Primes <= family.A and the real place are tested on every row; support
     covers the primes p > A, each tested only where it can obstruct.  It
-    yields (v, sel) pairs of two kinds: a prime v with a mask of the rows it
-    divides, or an int64 array v of primes with the index array sel of the
-    row each one divides (an index may repeat; the array must hold no place
-    of S), decided by one array-place call.  Places in S are skipped.
+    yields (v, sel) pairs of two kinds: a prime v with the index array sel
+    of the rows it divides, each row once, or an int64 array v of primes
+    with the index array sel of the row each one divides (an index may
+    repeat; the array must hold no place of S), decided by one array-place
+    call.  Places in S are skipped.
     """
     tally = np.zeros(len(rows), np.int64)
     everywhere = [(int(p), slice(None)) for p in primes_up_to(family.A)] + [(INF, slice(None))]
@@ -232,29 +234,85 @@ def _block_omega(family: FamilyDescriptor, rows: np.ndarray, support, S: tuple):
     return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK
 
 
+def _across(ufunc, a: np.ndarray) -> np.ndarray:
+    # ufunc folded over a's columns, one row at a time: numpy reduces a
+    # short last axis several times slower than it combines whole columns
+    return functools.reduce(ufunc, a.T)
+
+
+def _prime_table(family: FamilyDescriptor, B: int, S: tuple):
+    """The primes A < p <= B outside S, and which of them divide each value 1..B.
+
+    Returns (primes, starts, index), a compressed sparse row table: the
+    primes dividing v are primes[index[starts[v]:starts[v + 1]]].  index
+    holds the smallest unsigned int type that fits, which numpy sorts by
+    radix.
+    """
+    value, prime = prime_support(np.arange(1, B + 1))
+    keep = (prime > family.A) & ~np.isin(prime, [v for v in S if v != INF])
+    primes = np.unique(prime[keep])
+    starts = np.zeros(B + 2, np.int64)
+    np.cumsum(np.bincount(value[keep] + 1, minlength=B + 1), out=starts[1:])
+    index = np.searchsorted(primes, prime[keep]).astype(np.min_scalar_type(len(primes)))
+    return primes, starts, index
+
+
+def _rows_by_prime(table, coords: np.ndarray):
+    """(p, index array of the rows p divides) for each prime of the table dividing a row.
+
+    coords holds the rows' absolute values.  Every (row, prime) pair is
+    gathered from the table, the pairs are grouped by a stable sort on the
+    prime index, which keeps each group's rows ascending, and a pair
+    repeating its predecessor (a prime dividing two coordinates of one row)
+    is dropped.
+    """
+    primes, starts, index = table
+    flat = coords.ravel()
+    first = starts[flat]
+    count = starts[flat + 1] - first
+    total = int(count.sum())
+    # pair k of the run for an entry sits at index[first + k]
+    shift = first - (np.cumsum(count) - count)
+    prime = index[np.arange(total) + np.repeat(shift, count)]
+    row = np.repeat(np.arange(len(coords)), _across(np.add, count.reshape(coords.shape)))
+    order = np.argsort(prime, kind="stable")
+    prime, row = prime[order], row[order]
+    new = np.ones(total, bool)
+    new[1:] = (prime[1:] != prime[:-1]) | (row[1:] != row[:-1])
+    prime, row = prime[new], row[new]
+    ends = np.cumsum(np.bincount(prime, minlength=len(primes)))
+    return (
+        (int(primes[k]), row[lo:hi])
+        for k, lo, hi in zip(range(len(primes)), itertools.chain([0], ends), ends)
+        if lo < hi
+    )
+
+
 def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
     A coefficient of a height-B point is at most B, so only primes <= B
-    can divide one; each prime p > A is tested on the rows it divides,
-    found by a mask per prime and slab.
+    can divide one.  A table of the primes p > A outside S dividing each
+    value 1..B is built once; each slab gathers its rows' primes from it,
+    and each prime is tested by one theta_grid call on the rows it
+    divides.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     S = tuple(S)
-    big = [int(p) for p in primes_up_to(B) if p > family.A and p not in S]
+    table = _prime_table(family, B, S)
     oms, hts, tns = [], [], []
     singular = 0
     for slab in point_slabs(family.n, B):
-        smooth = (slab != 0).all(axis=1)
+        smooth = _across(np.logical_and, slab != 0)
         singular += int((~smooth).sum())
         rows = slab[smooth]
         if not len(rows):
             continue
-        masks = ((p, m) for p in big if (m := (rows % p == 0).any(axis=1)).any())
-        om, taint = _block_omega(family, rows, masks, S)
+        coords = np.abs(rows)
+        om, taint = _block_omega(family, rows, _rows_by_prime(table, coords), S)
         oms.append(om)
-        hts.append(np.abs(rows).max(axis=1))
+        hts.append(_across(np.maximum, coords))
         tns.append(taint)
     return RecordSet(
         family,
@@ -739,7 +797,7 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
     return (om - center) / np.sqrt(float(Delta) * llh)
 
 
-def gaussian_distance(records: RecordSet, B: int, Delta, centering: str = "paper") -> float:
+def gaussian_distance(records: RecordSet, Delta, centering: str = "paper") -> float:
     """Kolmogorov-Smirnov distance between the standardized counts and the
     standard normal.
 

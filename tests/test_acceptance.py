@@ -205,7 +205,7 @@ def test_criterion_07_partial_sum_slope_and_beta():
 
 def test_criterion_08_erdos_kac_trend(conic_samples):
     ks = {
-        B: gaussian_distance(conic_samples[B], B, Fraction(3, 2), centering="empirical")
+        B: gaussian_distance(conic_samples[B], Fraction(3, 2), centering="empirical")
         for B in conic_samples
     }
     assert ks[10**3] > ks[10**4] > ks[10**5]
@@ -221,7 +221,7 @@ def test_criterion_09_classic_baseline(baseline_set):
     assert abs(m2s - 1.0) <= 0.10
     ks = {
         limit: gaussian_distance(
-            baseline_set.truncate_height(limit), limit, 1, centering="empirical"
+            baseline_set.truncate_height(limit), 1, centering="empirical"
         )
         for limit in (10**5, 10**6, 10**7)
     }

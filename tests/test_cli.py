@@ -256,7 +256,7 @@ def test_baseline_smallest_bound(tmp_path):
     # 100 integers 3..102: the fewest the KS distance accepts
     code, out = run_cli(tmp_path, "baseline", "--B", "102")
     assert code == 0
-    assert set(read_report(str(out) + ".baseline.csv")["ks"]) == {102, 1000}
+    assert set(read_report(str(out) + ".baseline.csv")["ks"]) == {102}
 
 
 # ---------------------------------------------------------------------------

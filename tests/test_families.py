@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fibstat import families
 from fibstat.arith import factorize
 from fibstat.families import (
     CubicDecider,
@@ -456,6 +457,98 @@ def test_conic_grid_matches_scalar():
         grid = conic_insoluble_grid(coeffs, p)
         for g, row in zip(grid.tolist(), coeffs.tolist()):
             assert g == (not conic_soluble(*row, p)), (row, p)
+
+
+def _bounded_rows(p, width, seed):
+    # 1500 rows of nonzero entries in [-60, 60], the first holding +-p and
+    # +-p^2 where they fit under 100, so 2m + 1 <= 201 stays below the row count
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-60, 61, size=(1500, width))
+    rows[rows == 0] = 1
+    powers = [v for v in (p, -p, p * p, -p * p) if abs(v) <= 100]
+    rows[0, : len(powers[:width])] = powers[:width]
+    return rows
+
+
+# a prime far above every entry: with it the rows are too wide for a value table
+_WIDE = 1_000_000_007
+
+
+def _strip_sizes(monkeypatch):
+    sizes = []
+    strip = families._strip
+
+    def spy(col, p):
+        sizes.append(np.size(col))
+        return strip(col, p)
+
+    monkeypatch.setattr(families, "_strip", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97])
+def test_conic_digit_route_matches_formula_route(p, monkeypatch):
+    rows = _bounded_rows(p, 3, seed=p)
+    sizes = _strip_sizes(monkeypatch)
+    digit = conic_insoluble_grid(rows, p)
+    # the digit route strips the values in [-m, m] and digit representatives, never a column
+    assert sizes and max(sizes) < len(rows)
+    formula = conic_insoluble_grid(np.concatenate([rows, [[1, 1, _WIDE]]]), p)[:-1]
+    assert max(sizes) == len(rows) + 1
+    assert digit.dtype == bool and digit.tolist() == formula.tolist()
+    for row, g in zip(rows[:200].tolist(), digit[:200].tolist()):
+        assert g == (not conic_soluble(*row, p)), (row, p)
+    rows[7, 1] = 0
+    with pytest.raises(ValueError):
+        conic_insoluble_grid(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 31])
+def test_cubic_digit_route_matches_formula_route(p, monkeypatch):
+    rows = _bounded_rows(p, 4, seed=100 + p)
+    sizes = _strip_sizes(monkeypatch)
+    digit = CubicDecider(p).decide_grid(rows)
+    assert sizes and max(sizes) < len(rows)
+    wide = np.concatenate([rows, [[1, 1, 1, _WIDE]]])
+    formula = CubicDecider(p).decide_grid(wide)[:-1]
+    assert max(sizes) == len(rows) + 1
+    assert digit.dtype == np.int8 and digit.tolist() == formula.tolist()
+    dec = CubicDecider(p)
+    rank = {Solubility.SOLUBLE: 0, Solubility.INSOLUBLE: 1, Solubility.UNKNOWN: 2}
+    assert digit.tolist() == [rank[dec.decide(row)] for row in rows.tolist()]
+    rows[7, 3] = 0
+    with pytest.raises(ValueError):
+        CubicDecider(p).decide_grid(rows)
+
+
+def test_cubic_decider_searches_each_class_once(monkeypatch):
+    searched = []
+    search = families.padic_point_search
+
+    def spy(form, p, **kwargs):
+        searched.append(form)
+        return search(form, p, **kwargs)
+
+    monkeypatch.setattr(families, "padic_point_search", spy)
+    dec = CubicDecider(7)
+    rows = _bounded_rows(7, 4, seed=3)
+    first = dec.decide_grid(rows)
+    # one search per canonical class present, of the 55 there are
+    assert 0 < len(searched) == len(set(searched)) <= 55
+    done = len(searched)
+    again = dec.decide_grid(rows[::-1])
+    for row in rows[:50].tolist():
+        dec.decide(row)
+    assert len(searched) == done
+    assert again[::-1].tolist() == first.tolist()
+
+
+def test_cube_class_table_matches_scalar():
+    for p in (2, 3, 5, 7, 13, 31, 97):
+        table = families._cube_class_table(p)
+        mod = len(table)
+        units = [u for u in range(1, 3 * max(p, 9)) if u % p]
+        assert [int(table[u % mod]) for u in units] == [cube_class(u, p) for u in units]
 
 
 @pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)

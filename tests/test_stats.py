@@ -23,7 +23,7 @@ from fibstat.families import (
     omega_pi,
 )
 from fibstat.localsolve import INF
-from fibstat.projective import count_points
+from fibstat.projective import count_points, point_slabs
 from fibstat.stats import (
     CLASSIC_OMEGA,
     MomentReport,
@@ -92,6 +92,40 @@ def test_vectorized_cubic_route_matches_scalar():
     assert np.array_equal(via_scan.heights, fast.heights)
     assert via_scan.summary() == fast.summary()
     assert fast.tainted_count == 0
+
+
+def test_record_set_drops_primes_of_s_from_the_table():
+    # at B = 15 the coordinate 15 has two primes > A, 3 and 5, both in S
+    S = (3, 5, INF)
+    records, summary = scan(CONICS, 15, S)
+    via_scan = RecordSet.from_records(records, CONICS, 15, S, summary.singular_count)
+    fast = record_set(CONICS, 15, S)
+    assert np.array_equal(via_scan.omegas, fast.omegas)
+    assert np.array_equal(via_scan.heights, fast.heights)
+    assert via_scan.summary() == fast.summary()
+
+
+def test_record_set_tests_each_prime_once_per_row():
+    calls = []
+
+    def theta_grid(rows, v):
+        calls.append((v, rows.copy()))
+        return CONICS.theta_grid(rows, v)
+
+    spy = dataclasses.replace(CONICS, theta_grid=theta_grid)
+    S = (3, 5, INF)
+    record_set(spy, 15, S)
+    smooth = np.concatenate([s[(s != 0).all(axis=1)] for s in point_slabs(2, 15)])
+    tested = dict.fromkeys(primes_up_to(15).tolist(), 0)
+    for v, rows in calls:
+        tested[v] += len(rows)
+        # 7 divides both 7 and 14, so a row can meet a prime twice
+        assert len(np.unique(rows, axis=0)) == len(rows), v
+        assert (rows % v == 0).any(axis=1).all() or v <= CONICS.A, v
+    divided = {p: int((smooth % p == 0).any(axis=1).sum()) for p in tested}
+    assert tested == {
+        p: len(smooth) if p <= CONICS.A else 0 if p in S else divided[p] for p in tested
+    }
 
 
 def test_undecided_grid_verdicts_taint_like_the_scalar_route():
@@ -457,7 +491,7 @@ def test_gaussian_distance_on_synthetic_normal():
     center = math.log(math.log(H))
     om = center + math.sqrt(center) * rng.standard_normal(N)
     rs = RecordSet(CLASSIC_OMEGA, H, (), om, np.full(N, H, np.int64), np.zeros(N, bool), 0)
-    ks = gaussian_distance(rs, H, 1)
+    ks = gaussian_distance(rs, 1)
     assert ks < 2 / math.sqrt(N)
 
 
@@ -466,27 +500,27 @@ def test_gaussian_distance_degenerate_mass():
     center = math.log(math.log(H))
     om = np.full(200, center)
     rs = RecordSet(CLASSIC_OMEGA, H, (), om, np.full(200, H, np.int64), np.zeros(200, bool), 0)
-    assert abs(gaussian_distance(rs, H, 1) - 0.5) < 1e-12
+    assert abs(gaussian_distance(rs, 1) - 0.5) < 1e-12
 
 
 def test_gaussian_distance_validation():
     rs = classic_omega_set(50)
     with pytest.raises(ValueError):
-        gaussian_distance(rs, 50, 0)
+        gaussian_distance(rs, 0)
     with pytest.raises(ValueError):
-        gaussian_distance(classic_omega_set(90), 90, 1)  # under 100 rows
+        gaussian_distance(classic_omega_set(90), 1)  # under 100 rows
     # no row of height >= 3 is left: both centerings standardize nothing
     empty = classic_omega_set(100).truncate_height(2)
     for centering in ("paper", "empirical"):
         assert standardized_values(empty, 1, centering).tolist() == []
         with pytest.raises(ValueError, match="at least 100 usable records"):
-            gaussian_distance(empty, 2, 1, centering=centering)
+            gaussian_distance(empty, 1, centering=centering)
 
 
 def test_gaussian_distance_classic_both_centerings():
     rs = classic_omega_set(20_000)
-    paper = gaussian_distance(rs, 20_000, 1, centering="paper")
-    empirical = gaussian_distance(rs, 20_000, 1, centering="empirical")
+    paper = gaussian_distance(rs, 1, centering="paper")
+    empirical = gaussian_distance(rs, 1, centering="empirical")
     assert 0 < paper < 1 and 0 < empirical < 1
     # the sigma-sum centering absorbs the Mertens constant, so it sits closer
     assert empirical < paper
@@ -643,7 +677,7 @@ def test_empirical_centering_takes_each_sigma_once(monkeypatch):
     for r in range(1, 5):
         moments(rs, rs.B, CONICS.Delta, r, centering="empirical")
     standardized_values(rs, CONICS.Delta, "empirical")
-    gaussian_distance(rs, rs.B, CONICS.Delta, centering="empirical")
+    gaussian_distance(rs, CONICS.Delta, centering="empirical")
     assert sorted(calls) == [p for p in primes_up_to(3000).tolist() if p > CONICS.A]
     assert set(calls.values()) == {1}
     # a larger bound rebuilds the table once; smaller ones read it
@@ -665,8 +699,8 @@ def test_empirical_centering_follows_the_family_not_its_name():
         standardized_values(renamed, CONICS.Delta, "empirical").tolist()
         == standardized_values(rs, CONICS.Delta, "empirical").tolist()
     )
-    assert gaussian_distance(renamed, 12, CONICS.Delta, "empirical") == gaussian_distance(
-        rs, 12, CONICS.Delta, "empirical"
+    assert gaussian_distance(renamed, CONICS.Delta, "empirical") == gaussian_distance(
+        rs, CONICS.Delta, "empirical"
     )
     # the same name with another sigma_p is centred by its own table
     other = dataclasses.replace(CONICS, sigma_p=lambda ps: (np.ones_like(ps), ps))
