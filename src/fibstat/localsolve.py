@@ -323,7 +323,14 @@ def _diagonal_data(form: HomogeneousForm) -> Optional[list[tuple[int, int]]]:
 
 
 def _eval_rows_mod(form: HomogeneousForm, rows: np.ndarray, M: int) -> np.ndarray:
-    """form(rows) mod M; int64-safe for M^2 * max_coord^degree below 2^63."""
+    """form(rows) mod M, for rows holding residues in [0, M) and M < 2^31.
+
+    Each product multiplies two residues below M, so it stays below
+    M^2 < 2^62 and int64 never wraps.  A larger M raises ValueError; the
+    check reads only M, never the rows.
+    """
+    if M >= 2**31:
+        raise ValueError(f"modulus {M} too large for int64 residue products")
     acc = np.zeros(rows.shape[0], dtype=np.int64)
     for c, exps in form.monomials:
         term = np.full(rows.shape[0], c % M, dtype=np.int64)
@@ -337,14 +344,19 @@ def _eval_rows_mod(form: HomogeneousForm, rows: np.ndarray, M: int) -> np.ndarra
 def _level1_chunks(form: HomogeneousForm, p: int, budget: _Budget):
     """Yield the nonzero residue vectors mod p killing the form, in blocks.
 
-    Traversal order is fixed: the plain grid walks lexicographically; the
-    diagonal fast path walks tail-major (trailing variables lexicographic,
-    head roots in arithmetic order).  Yields None once when the budget dies.
+    A diagonal form in two or more variables takes the root table at every
+    p: the head variable's roots are tabled by value and the trailing
+    variables are streamed in blocks of at most 2^18 tails, one cell charged
+    per tail.  It walks tail-major (tails lexicographic, head roots in
+    arithmetic order).  Any other form walks the p^m grid lexicographically,
+    in one block when p^m <= 2e6 and sliced on the leading variable above.
+    The zero set is the same either way; only the level-1 witness depends
+    on the order.  Yields None once when the budget dies.
     """
     m = form.nvars
     diag = _diagonal_data(form)
     block = 1 << 18
-    if diag is None or m == 1 or p**m <= 2_000_000:
+    if diag is None or m == 1:
         if p**m <= 2_000_000:
             if budget.spend(cells=p**m):
                 yield None
@@ -386,10 +398,10 @@ def _level1_chunks(form: HomogeneousForm, p: int, budget: _Budget):
     starts = np.concatenate([[0], np.cumsum(counts)])
     tails = np.indices((p,) * (m - 1)).reshape(m - 1, -1).T
     for s in range(0, tails.shape[0], block):
-        if budget.spend(cells=block):
+        tchunk = tails[s : s + block]
+        if budget.spend(cells=len(tchunk)):
             yield None
             return
-        tchunk = tails[s : s + block]
         rest = np.zeros(tchunk.shape[0], dtype=np.int64)
         for i in range(1, m):
             rest = (rest + coeffs[i] % p * powd[tchunk[:, i - 1]]) % p
@@ -578,7 +590,11 @@ def padic_point_search(
     whose Hensel-certified points prove solubility (v_p(F) > 2 v_p(dF_i),
     re-verified on the original form).  All branches dead means insoluble;
     exhausting the depth bound or the node/cell budget leaves an honest
-    unknown.  Deterministic: zeros are visited in lexicographic order.
+    unknown.  Deterministic: level 1 walks a diagonal form's zeros
+    tail-major through a root table and any other form's lexicographically
+    (_level1_chunks); the branches below are descended in lexicographic
+    order of their canonical representatives whatever the level-1 route.
+    Only the witness depends on the level-1 order, not the status.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

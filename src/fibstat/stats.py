@@ -295,14 +295,19 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     can divide one.  A table of the primes p > A outside S dividing each
     value 1..B is built once; each slab gathers its rows' primes from it,
     and each prime is tested by one theta_grid call on the rows it
-    divides.
+    divides.  The columns are allocated once for all count_points(n, B)
+    points, filled slab by slab and returned as views of the rows filled,
+    so no column is ever held twice.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     S = tuple(S)
     table = _prime_table(family, B, S)
-    oms, hts, tns = [], [], []
-    singular = 0
+    size = count_points(family.n, B)
+    omegas = np.empty(size, np.int64)
+    heights = np.empty(size, np.int64)
+    tainted = np.empty(size, bool)
+    filled = singular = 0
     for slab in point_slabs(family.n, B):
         smooth = _across(np.logical_and, slab != 0)
         singular += int((~smooth).sum())
@@ -310,18 +315,14 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
         if not len(rows):
             continue
         coords = np.abs(rows)
-        om, taint = _block_omega(family, rows, _rows_by_prime(table, coords), S)
-        oms.append(om)
-        hts.append(_across(np.maximum, coords))
-        tns.append(taint)
+        end = filled + len(rows)
+        omegas[filled:end], tainted[filled:end] = _block_omega(
+            family, rows, _rows_by_prime(table, coords), S
+        )
+        heights[filled:end] = _across(np.maximum, coords)
+        filled = end
     return RecordSet(
-        family,
-        B,
-        S,
-        np.concatenate(oms),
-        np.concatenate(hts),
-        np.concatenate(tns),
-        singular,
+        family, B, S, omegas[:filled], heights[:filled], tainted[:filled], singular
     )
 
 

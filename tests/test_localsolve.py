@@ -20,9 +20,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibstat import arith
+from fibstat import arith, localsolve
 from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
-from fibstat.families import cubic_criterion, family_by_name
+from fibstat.families import CubicDecider, _canonical_digit_codes, cubic_criterion, family_by_name
 from fibstat.localsolve import (
     INF,
     HomogeneousForm,
@@ -674,3 +674,68 @@ def test_witness_levels_are_consistent():
             assert all(0 <= x < p**level for x in vec)
             assert form.evaluate(vec) % p**level == 0
             assert verify_certificate(form, p, verdict)
+
+
+# ---------------------------------------------------------------------------
+# level 1: the diagonal root table against the residue grid
+
+
+def _cubic_class_forms(p):
+    """The representative diagonal cubic of every canonical class present at p.
+
+    A digit packs (valuation mod 3, cube class); at p = 2 mod 3 every unit
+    is a cube, so only the class-0 digits exist there.
+    """
+    classes = 3 if p == 3 or p % 3 == 1 else 1
+    codes = np.unique(_canonical_digit_codes())
+    digits = codes[:, None] // 9 ** np.arange(4) % 9
+    codes = codes[(digits % 3 < classes).all(axis=1)]
+    decider = CubicDecider(p)
+    return [HomogeneousForm.diagonal(decider._rep_coeffs(int(c)), 3) for c in codes]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 19, 31])
+def test_root_table_matches_grid_on_every_cubic_class(p, monkeypatch):
+    forms = _cubic_class_forms(p)
+    assert len(forms) == (55 if p == 3 or p % 3 == 1 else 5)
+    table = [padic_point_search(f, p).status for f in forms]
+    # _diagonal_data -> None sends the same forms through the residue grid
+    monkeypatch.setattr(localsolve, "_diagonal_data", lambda form: None)
+    grid = [padic_point_search(f, p).status for f in forms]
+    assert table == grid
+    assert Solubility.UNKNOWN not in table
+
+
+@pytest.mark.parametrize("p", [2, 7, 13, 67])
+def test_root_table_soluble_verdicts_carry_certificates(p):
+    soluble = 0
+    for form in _cubic_class_forms(p):
+        verdict = padic_point_search(form, p)
+        if verdict.status is Solubility.SOLUBLE:
+            soluble += 1
+            assert verify_certificate(form, p, verdict), form
+    assert soluble > 0
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_diagonal_level_one_walks_the_tails_only(p):
+    form = HomogeneousForm.diagonal([1, 2, 7, 14], 3)
+    budget = localsolve._Budget(0, 10**9)
+    chunks = list(localsolve._level1_chunks(form, p, budget))
+    # one cell per tail, not p^4 grid cells nor a whole 2^18 block
+    assert budget.cells == p**3
+    grid = np.indices((p,) * 4).reshape(4, -1).T[1:]
+    want = grid[localsolve._eval_rows_mod(form, grid, p) == 0]
+    got = np.concatenate(chunks)
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+def test_eval_rows_mod_rejects_moduli_past_int64_products():
+    form = HomogeneousForm.diagonal([1, 2, 3], 3)
+    rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    M = 2**31 - 1
+    want = [sum(c * x**3 for c, x in zip((1, 2, 3), row)) % M for row in rows.tolist()]
+    assert localsolve._eval_rows_mod(form, rows, M).tolist() == want
+    for M in (2**31, 2**40):
+        with pytest.raises(ValueError):
+            localsolve._eval_rows_mod(form, rows, M)

@@ -74,23 +74,26 @@ def test_scan_rejects_tiny_bound():
         record_set(CONICS, 1)
 
 
+def _assert_same_columns(via_scan, fast):
+    # record_set fills preallocated columns and returns the filled rows
+    for col in ("omegas", "heights", "tainted"):
+        want, got = getattr(via_scan, col), getattr(fast, col)
+        assert got.dtype == want.dtype and np.array_equal(got, want), col
+    assert via_scan.summary() == fast.summary()
+
+
 def test_vectorized_conic_route_matches_scalar():
     for S in ((INF,), ()):
         records, summary = scan(CONICS, 12, S)
         via_scan = RecordSet.from_records(records, CONICS, 12, S, summary.singular_count)
-        fast = record_set(CONICS, 12, S)
-        assert np.array_equal(via_scan.omegas, fast.omegas)
-        assert np.array_equal(via_scan.heights, fast.heights)
-        assert via_scan.summary() == fast.summary()
+        _assert_same_columns(via_scan, record_set(CONICS, 12, S))
 
 
 def test_vectorized_cubic_route_matches_scalar():
     records, summary = scan(CUBICS, 6)
     via_scan = RecordSet.from_records(records, CUBICS, 6, (INF,), summary.singular_count)
     fast = record_set(CUBICS, 6)
-    assert np.array_equal(via_scan.omegas, fast.omegas)
-    assert np.array_equal(via_scan.heights, fast.heights)
-    assert via_scan.summary() == fast.summary()
+    _assert_same_columns(via_scan, fast)
     assert fast.tainted_count == 0
 
 
@@ -99,10 +102,7 @@ def test_record_set_drops_primes_of_s_from_the_table():
     S = (3, 5, INF)
     records, summary = scan(CONICS, 15, S)
     via_scan = RecordSet.from_records(records, CONICS, 15, S, summary.singular_count)
-    fast = record_set(CONICS, 15, S)
-    assert np.array_equal(via_scan.omegas, fast.omegas)
-    assert np.array_equal(via_scan.heights, fast.heights)
-    assert via_scan.summary() == fast.summary()
+    _assert_same_columns(via_scan, record_set(CONICS, 15, S))
 
 
 def test_record_set_tests_each_prime_once_per_row():
