@@ -239,7 +239,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # this witness set is known exact below 3.3e24
+    # the prime bases up to 37 are proven exact below 318,665,857,834,031,151,167,461
+    # (about 3.2e23), far above 2^64
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -15,7 +15,9 @@ layer reads every family-specific behaviour, centering included, here.
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
 else), counts obstructed places per point (omega), and calibrates A
-empirically.
+empirically.  Every conic verdict at a finite prime, and the exact conic
+disk density, reads one of three digit-triple verdict tables (p = 2,
+p = 1 and p = 3 mod 4), each built once from localsolve.conic_soluble.
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
@@ -43,7 +45,6 @@ from .localsolve import (
     Place,
     Solubility,
     conic_soluble,
-    hilbert,
     legendre,
     padic_point_search,
 )
@@ -268,13 +269,12 @@ def _digit_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray],
     digits maps an int64 array of nonzero values to their digits at one
     prime, ints below base.  With m = max |entry|, they are computed once
     for the 2m + 1 values in [-m, m] and gathered, one gather per
-    coordinate.  That pays only when 2m + 1 is at most the row count; for
-    wider rows None is returned and the caller takes its per-entry route.
-    A zero entry raises ValueError.
+    coordinate, when 2m + 1 is at most the row count; wider rows get the
+    digits of each coordinate column.  A zero entry raises ValueError.
     """
     m = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
     if 2 * m + 1 > len(coeffs):
-        return None
+        return _column_codes(coeffs, digits, base)
     if not coeffs.all():
         raise ValueError("zero entry has no p-adic valuation")
     # position v holds value v, so a negative entry reads from the end
@@ -287,6 +287,14 @@ def _digit_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray],
     return codes
 
 
+def _column_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray], base: int):
+    # _digit_codes without the value table: one digits call per coordinate column
+    codes = digits(coeffs[:, 0])
+    for i in range(1, coeffs.shape[1]):
+        codes += digits(coeffs[:, i]) * base**i
+    return codes
+
+
 def _squares(p: int) -> np.ndarray:
     # qr[r] for 0 <= r < p: is r a nonzero square mod p
     qr = np.zeros(p, dtype=bool)
@@ -295,42 +303,50 @@ def _squares(p: int) -> np.ndarray:
     return qr
 
 
-def _nonresidue(units: np.ndarray, p: int) -> np.ndarray:
-    # (u|p) = -1 for units at an odd prime: read off the table of squares
-    # when there are at least p units, from Jacobi symbols otherwise
-    if p > len(units):
+def _nonresidue(units: np.ndarray, p) -> np.ndarray:
+    # (u|p) = -1 for units at an odd prime, or one odd prime per unit: read
+    # off the table of squares when one prime has at least p units, from
+    # Jacobi symbols otherwise, so memory never grows with p
+    if np.ndim(p) or p > len(units):
         return jacobi(units, p) < 0
     return ~_squares(p)[units % p]
 
 
-def _conic_digits(values: np.ndarray, p: int) -> np.ndarray:
+def _conic_digits(values: np.ndarray, p) -> np.ndarray:
     """What the conic verdict at p reads of each nonzero value, as a digit.
 
     At an odd prime: 2 (v_p mod 2) + [unit part a non-residue], in 0..3.
-    At p = 2: 4 (v_2 mod 2) + (unit part mod 8) // 2, in 0..7.
+    At p = 2: 4 (v_2 mod 2) + (unit part mod 8) // 2, in 0..7.  p is one
+    prime, or an int64 array of odd primes, one per value.
     """
     v, u = _strip(values, p)
-    if p == 2:
+    if np.ndim(p) == 0 and p == 2:
         return (v & 1) * 4 + (u & 7) // 2
     return (v & 1) * 2 + _nonresidue(u, p)
 
 
 @functools.lru_cache(maxsize=None)
-def _conic_digit_verdicts(p: int) -> np.ndarray:
-    """The conic verdict at p for each digit triple, by code da + D db + D^2 dc.
+def _conic_verdicts(p: int) -> np.ndarray:
+    """Conic insolubility per digit triple, by code da + D db + D^2 dc.
 
-    Each digit gets one representative value, p^e times 1 or the least
-    non-residue (2^e u at p = 2), and the triples of representatives go
-    through the per-entry formula.
+    The verdict reads only the digits (_conic_digits) and p mod 4, so
+    three tables serve every prime: p = 2, p = 1 mod 4 and p = 3 mod 4,
+    built at the representative primes 2, 5 and 3 (_conic_table picks
+    one).  Each digit gets one representative value p^e u, with u over
+    1, 3, 5, 7 at p = 2 and over 1 and the non-residue 2 at p = 3, 5,
+    and localsolve.conic_soluble decides each triple.
     """
-    if p == 2:
-        reps = [2**e * u for e in (0, 1) for u in (1, 3, 5, 7)]
-    else:
-        nonres = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
-        reps = [p**e * u for e in (0, 1) for u in (1, nonres)]
-    # product() runs its last factor fastest, so reversed rows are (a, b, c)
-    triples = np.array(list(itertools.product(reps, repeat=3)), np.int64)[:, ::-1]
-    return _conic_formula(triples, p)
+    units = (1, 3, 5, 7) if p == 2 else (1, 2)
+    reps = [p**e * u for e in (0, 1) for u in units]
+    # product() runs its last factor fastest, so reversed triples are (a, b, c)
+    return np.array(
+        [not conic_soluble(a, b, c, p) for c, b, a in itertools.product(reps, repeat=3)]
+    )
+
+
+def _conic_table(p: int) -> np.ndarray:
+    # the verdict table that serves the prime p
+    return _conic_verdicts(2 if p == 2 else 5 if p % 4 == 1 else 3)
 
 
 def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
@@ -338,63 +354,25 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
 
     coeffs is an (N, 3) integer array with no zero entries (a zero raises
     ValueError at a finite place).  place is INF, a prime, or an int64
-    array of N odd primes, one per row.  At one prime, rows bounded by m
-    with 2m + 1 at most N take the digit route: each value in [-m, m]
-    gets its digit (_conic_digits) once, and a row is three gathers plus
-    one into a verdict per digit triple.  Other rows, and rows with a
-    prime each, take the per-entry formula on valuations and unit parts.
-    Agrees with the scalar Hilbert-symbol route entry by entry.
+    array of N odd primes, one per row.  At a finite place a row packs
+    its three digits (_conic_digits) into a code, and the code reads its
+    verdict from the table for p = 2 or p mod 4 (_conic_table).  At one prime,
+    rows bounded by m with 2m + 1 at most N read their digits from a
+    table over [-m, m] (_digit_codes); other rows, and rows with a prime
+    each, strip every entry.  Agrees with the scalar Hilbert-symbol
+    route entry by entry.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if np.ndim(place):
-        return _conic_formula(coeffs, np.asarray(place, dtype=np.int64))
+        p = np.asarray(place, dtype=np.int64)
+        codes = _column_codes(coeffs, lambda col: _conic_digits(col, p), 4)
+        return np.where(p % 4 == 1, _conic_table(5)[codes], _conic_table(3)[codes])
     if place == INF:
         a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
         return ((a > 0) & (b > 0) & (c < 0)) | ((a < 0) & (b < 0) & (c > 0))
     p = int(place)
     codes = _digit_codes(coeffs, lambda vals: _conic_digits(vals, p), 8 if p == 2 else 4)
-    if codes is not None:
-        return _conic_digit_verdicts(p)[codes]
-    return _conic_formula(coeffs, p)
-
-
-def _conic_formula(coeffs: np.ndarray, p: int | np.ndarray) -> np.ndarray:
-    """Conic insolubility at a finite prime, or one odd prime per row, entry by entry.
-
-    Residue symbols come from an O(p) table of squares when one prime
-    serves at least p rows, and from Jacobi symbols of the unit parts
-    otherwise, so memory never grows with p.
-    """
-    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    va, ua = _strip(a, p)
-    vb, ub = _strip(b, p)
-    vc, uc = _strip(c, p)
-    x1 = (va ^ vc) & 1
-    x2 = (vb ^ vc) & 1
-    per_row = np.ndim(p) > 0
-    if not per_row and p == 2:
-        u1 = (ua % 8) * (uc % 8) % 8
-        u2 = (ub % 8) * (uc % 8) % 8
-        eps1 = (u1 % 4 == 3).astype(np.int64)
-        eps2 = (u2 % 4 == 3).astype(np.int64)
-        om1 = ((u1 == 3) | (u1 == 5)).astype(np.int64)
-        om2 = ((u2 == 3) | (u2 == 5)).astype(np.int64)
-        return (eps1 * eps2 + x1 * om2 + x2 * om1) % 2 == 1
-    if per_row or p > len(coeffs):
-        # (ua uc|p) = (ua|p)(uc|p): one symbol per unit part, no product to
-        # overflow, and only where the sign below reads it
-        units = np.stack([ua, ub, uc])
-        need = np.stack([x2, x1, x1 | x2]) == 1
-        sym = np.ones(units.shape, np.int64)
-        sym[need] = jacobi(units[need], np.broadcast_to(p, units.shape)[need])
-        s1 = sym[0] * sym[2] < 0
-        s2 = sym[1] * sym[2] < 0
-    else:
-        qr = _squares(p)
-        s1 = ~qr[(ua % p) * (uc % p) % p]
-        s2 = ~qr[(ub % p) * (uc % p) % p]
-    sign = (x1 & x2) * (p % 4 == 3) + x2 * s1 + x1 * s2
-    return sign % 2 == 1
+    return _conic_table(p)[codes]
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +502,10 @@ class CubicDecider:
     and kept.
     """
 
-    def __init__(self, p: int, depth_bound: Optional[int] = None, node_budget: int = 200_000):
+    def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError("p must be prime")
         self.p = int(p)
-        self.depth_bound = depth_bound
-        self.node_budget = node_budget
         self._classes = _cube_class_table(self.p)
         # index into _RANKS per canonical code, -1 until that code is searched
         self._status = np.full(9**4, -1, dtype=np.int8)
@@ -559,9 +535,7 @@ class CubicDecider:
     def _decide_code(self, code: int) -> Solubility:
         if self._status[code] < 0:
             form = HomogeneousForm.diagonal(self._rep_coeffs(code), _CUBIC_FORM_DEGREE)
-            verdict = padic_point_search(
-                form, self.p, depth_bound=self.depth_bound, node_budget=self.node_budget
-            )
+            verdict = padic_point_search(form, self.p)
             self._status[code] = _RANKS.index(verdict.status)
         return _RANKS[self._status[code]]
 
@@ -579,18 +553,12 @@ class CubicDecider:
         """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
 
         coeffs is (N, 4) with nonzero entries; a zero raises ValueError.
-        A row's code packs its four digits (_digits).  Rows bounded by m
-        with 2m + 1 at most N read them from a table over [-m, m], four
-        gathers and no stripping; wider rows strip each entry.  The code's
-        canonical class reads its verdict off the kept status array; only
-        classes still unset are searched.
+        A row's code packs its four digits (_digits, through _digit_codes).
+        The code's canonical class reads its verdict off the kept status
+        array; only classes still unset are searched.
         """
         coeffs = np.asarray(coeffs, dtype=np.int64)
         codes = _digit_codes(coeffs, self._digits, 9)
-        if codes is None:
-            codes = self._digits(coeffs[:, 0])
-            for i in range(1, 4):
-                codes += self._digits(coeffs[:, i]) * 9**i
         canonical = _canonical_digit_codes()
         verdicts = self._status[canonical][codes]
         unset = verdicts < 0
@@ -847,57 +815,32 @@ def conic_insoluble_density(p: int) -> Fraction:
 
     This is the disk-level insolubility probability (what sigma_empirical
     estimates), not the residue proxy sigma_p: the two differ by O(1/p^2)
-    per prime.  Computed by summing the valuation-parity pattern masses
-    against the fraction of unit-class combinations with Hilbert symbol -1;
-    both factors are exact, so the result is an exact rational.
+    per prime.  It is the sum, over the insoluble digit triples of the
+    verdict table for p (_conic_table), of each triple's mass among
+    primitive vectors.  A coordinate's valuation is even with mass
+    p/(p+1) and odd with 1/(p+1), and its unit class (k = 2 residue
+    classes at an odd p, k = 4 classes mod 8 at p = 2) is uniform; a
+    common factor p, which flips every parity, is taken out by
+    inclusion-exclusion.  Every factor is exact, so the result is an
+    exact rational, at p = 2 as at odd p.
     """
     p = int(p)
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if p == 2:
-        return conic_two_adic_density()
-    # mass of even resp. odd valuation for one Haar-random coordinate
-    m = {0: Fraction(p, p + 1), 1: Fraction(1, p + 1)}
+    k = 4 if p == 2 else 2
+    m = (Fraction(p, p + 1), Fraction(1, p + 1))
     pinv3 = Fraction(1, p**3)
     total = Fraction(0)
-    for ea, eb, ec in itertools.product((0, 1), repeat=3):
-        mass = m[ea] * m[eb] * m[ec] - pinv3 * m[1 - ea] * m[1 - eb] * m[1 - ec]
-        x1, x2 = ea ^ ec, eb ^ ec
-        bad = 0
-        for sa, sb, sc in itertools.product((1, -1), repeat=3):
-            # sign of (u|p) for the unit parts; symbols only see the products
-            s1, s2 = sa * sc, sb * sc
-            h = (-1 if (x1 and x2 and p % 4 == 3) else 1)
-            h *= s1 if x2 else 1
-            h *= s2 if x1 else 1
-            bad += h == -1
-        total += mass * Fraction(bad, 8)
-    return total / (1 - pinv3)
+    for code in np.flatnonzero(_conic_table(p)).tolist():
+        ea, eb, ec = (code // (2 * k) ** i % (2 * k) // k for i in range(3))
+        total += m[ea] * m[eb] * m[ec] - pinv3 * m[1 - ea] * m[1 - eb] * m[1 - ec]
+    return total / k**3 / (1 - pinv3)
 
 
 def conic_two_adic_density() -> Fraction:
-    """Exact density of 2-adically insoluble disks for the conic family.
-
-    The verdict depends only on the valuation parities and the unit parts
-    mod 8, so the density is a finite sum of geometric series: exact, no
-    truncation.  Used as the p = 2 entry of the conic sigma table, where
-    the odd-p residue classification does not apply.
-    """
-    # measure of v = 0, 2, 4, ... resp. 1, 3, 5, ... for one coordinate
-    m = {0: Fraction(2, 3), 1: Fraction(1, 3)}
-    total = Fraction(0)
-    for ea, eb, ec in itertools.product((0, 1), repeat=3):
-        # valuation-parity mass among primitive vectors, by inclusion-exclusion
-        mass = m[ea] * m[eb] * m[ec] - Fraction(1, 8) * m[1 - ea] * m[1 - eb] * m[1 - ec]
-        bad = 0
-        for ua, ub, uc in itertools.product((1, 3, 5, 7), repeat=3):
-            a = 2**ea * ua
-            b = 2**eb * ub
-            c = 2**ec * uc
-            if hilbert(Fraction(a, c), Fraction(b, c), 2) == -1:
-                bad += 1
-        total += mass * Fraction(bad, 64)
-    return total / Fraction(7, 8)
+    """Exact density of 2-adically insoluble disks for the conic family:
+    conic_insoluble_density(2), which is 5/12."""
+    return conic_insoluble_density(2)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,20 @@ def test_conic_insoluble_density_matches_sampled_disks(p):
     assert abs(est.value - float(exact)) <= 4 * est.standard_error + est.unknown_fraction
 
 
+def test_conic_insoluble_density_frozen():
+    # exact values recorded from the per-prime Hilbert-symbol sum this replaced
+    frozen = {
+        3: Fraction(9, 32),
+        5: Fraction(5, 24),
+        7: Fraction(21, 128),
+        11: Fraction(11, 96),
+        13: Fraction(39, 392),
+        97: Fraction(291, 19208),
+    }
+    for p, want in frozen.items():
+        assert conic_insoluble_density(p) == want, p
+
+
 def test_sigma_empirical_conics_vs_exact_disks():
     # oracle: exhaustive classification of residue disks mod 25
     p, depth = 5, 2
@@ -447,13 +461,16 @@ def test_conic_grid_matches_scalar():
     rng = np.random.default_rng(5)
     coeffs = rng.integers(-200, 201, size=(3000, 3))
     coeffs = coeffs[(coeffs != 0).all(axis=1)]
-    # a prime above the row count takes the Jacobi route instead of the table
-    big = 1_000_003
-    divisible = np.array(
-        [[3 * big, 5, 7], [-big, 2, 11], [big * big, -3, 5], [6, big, -big], [2, 3, -5 * big]]
-    )
+    # a prime above the row count takes the Jacobi route instead of the table;
+    # 1_000_003 = 3 and 1_000_033 = 1 (mod 4) read the two odd-prime verdict tables
+    bigs = (1_000_003, 1_000_033)
+    divisible = np.array([
+        row
+        for q in bigs
+        for row in ([3 * q, 5, 7], [-q, 2, 11], [q * q, -3, 5], [6, q, -q], [2, 3, -5 * q])
+    ])
     coeffs = np.concatenate([coeffs, divisible])
-    for p in (2, 3, 5, 7, 13, 97, big, INF):
+    for p in (2, 3, 5, 7, 13, 97, *bigs, INF):
         grid = conic_insoluble_grid(coeffs, p)
         for g, row in zip(grid.tolist(), coeffs.tolist()):
             assert g == (not conic_soluble(*row, p)), (row, p)
@@ -491,7 +508,7 @@ def test_conic_digit_route_matches_formula_route(p, monkeypatch):
     rows = _bounded_rows(p, 3, seed=p)
     sizes = _strip_sizes(monkeypatch)
     digit = conic_insoluble_grid(rows, p)
-    # the digit route strips the values in [-m, m] and digit representatives, never a column
+    # the digit route strips the values in [-m, m], never a column
     assert sizes and max(sizes) < len(rows)
     formula = conic_insoluble_grid(np.concatenate([rows, [[1, 1, _WIDE]]]), p)[:-1]
     assert max(sizes) == len(rows) + 1
