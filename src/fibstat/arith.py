@@ -110,7 +110,10 @@ def _spf(top: int) -> np.ndarray:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: exponent}; factorize(0) raises."""
+    """Prime factorization of |n| as {p: exponent}.
+
+    factorize(0) raises ValueError, as does a cofactor that is_prime cannot decide.
+    """
     if n == 0:
         raise ValueError("0 has no factorization")
     n = abs(n)
@@ -225,12 +228,21 @@ def jacobi(a, n) -> np.ndarray:
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the prime Miller-Rabin bases up to 37 are proven exact below this bound
+_MR_PROVEN_BOUND = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
+    """Deterministic Miller-Rabin on the prime bases up to 37.
+
+    Exact for n < 318,665,857,834,031,151,167,461 (about 3.2e23, far above
+    2^64); at or above that bound those bases are no proof, so n raises
+    ValueError instead of getting a guess.
+    """
     if n < 2:
         return False
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(f"{n} is past the proven Miller-Rabin bound {_MR_PROVEN_BOUND}")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -239,9 +251,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # the prime bases up to 37 are proven exact below 318,665,857,834,031,151,167,461
-    # (about 3.2e23), far above 2^64
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -569,14 +569,7 @@ class CubicDecider:
         return verdicts
 
 
-_CUBIC_DECIDERS: dict[int, CubicDecider] = {}
-
-
-def _cubic_decider(p: int) -> CubicDecider:
-    dec = _CUBIC_DECIDERS.get(p)
-    if dec is None:
-        dec = _CUBIC_DECIDERS[p] = CubicDecider(p)
-    return dec
+_cubic_decider = functools.lru_cache(maxsize=None)(CubicDecider)
 
 
 def _cubic_theta(x, place: Place) -> bool:

@@ -2,14 +2,17 @@
 
 The scalar truth layer: Legendre and Hilbert symbols with exact local
 formulas (including v = 2 and the real place), solubility of diagonal conics
-by symbol evaluation, k-th power residues, and a depth-bounded residue-tree
-search deciding whether a homogeneous form has a nontrivial p-adic zero.
-The search reports soluble with a Hensel certificate, insoluble when every
-branch of the residue tree dies, and an honest unknown otherwise.
+by symbol evaluation, k-th power residues, and a depth-bounded search
+deciding whether a homogeneous form has a nontrivial p-adic zero.  The
+search splits the primitive vectors into affine charts (the first unit
+coordinate set to 1) and runs one residue-disk descent per chart: it
+reports soluble with a Hensel certificate, insoluble when every disk of
+every chart dies, and an honest unknown otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -123,11 +126,12 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> bool:
 def conic_soluble(a: int, b: int, c: int, v: Place) -> bool:
     """Does a x^2 + b y^2 = c z^2 have a nontrivial Q_v-point?
 
-    Equivalent to the symbol condition (a/c, b/c)_v = +1.
+    Equivalent to the symbol condition (a/c, b/c)_v = +1, read in integers
+    as (ac, bc)_v = +1: the two pairs differ by the square c^2 in each entry.
     """
     if a == 0 or b == 0 or c == 0:
         raise ValueError("conic solubility needs nonzero coefficients")
-    return hilbert(Fraction(a, c), Fraction(b, c), v) == 1
+    return hilbert(a * c, b * c, v) == 1
 
 
 def is_kth_power_residue(a: int, p: int, k: int) -> bool:
@@ -264,35 +268,6 @@ def _min_valuation(poly: Poly, p: int) -> int:
     return min(valuation(c, p) for c in poly.values())
 
 
-def _mod_p_zeros(poly: Poly, p: int, cell_cap: int) -> tuple[list[int], np.ndarray] | None:
-    """Zeros of poly mod p over its active variables; None if the grid is too big.
-
-    Returns (active variable indices, array of zero tuples in lex order).
-    """
-    nvars = len(next(iter(poly)))
-    reduced = {e: c % p for e, c in poly.items() if c % p != 0}
-    active = sorted({i for e in reduced for i in range(nvars) if e[i] > 0})
-    if p ** len(active) > cell_cap:
-        return None
-    if not active:
-        # constant mod p; nonzero means no zeros at all (caller checks)
-        const = sum(c for e, c in reduced.items()) % p
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return [], empty if const % p else np.zeros((1, 0), dtype=np.int64)
-    shape = (p,) * len(active)
-    idx = np.indices(shape).reshape(len(active), -1)
-    acc = np.zeros(idx.shape[1], dtype=np.int64)
-    for exps, c in reduced.items():
-        term = np.full(idx.shape[1], c % p, dtype=np.int64)
-        for pos, i in enumerate(active):
-            for _ in range(exps[i]):
-                term = term * idx[pos] % p
-        # exponents on inactive variables are 0 here by construction of active
-        acc = (acc + term) % p
-    zeros = idx.T[acc == 0]
-    return active, zeros
-
-
 class _Budget:
     __slots__ = ("nodes", "cells", "node_cap", "cell_cap", "blown")
 
@@ -311,137 +286,49 @@ class _Budget:
         return self.blown
 
 
-def _diagonal_data(form: HomogeneousForm) -> Optional[list[tuple[int, int]]]:
-    """[(variable index, coefficient)] when the form is diagonal, else None."""
-    out = []
-    for c, exps in form.monomials:
-        live = [i for i, e in enumerate(exps) if e > 0]
-        if len(live) != 1 or exps[live[0]] != form.degree:
-            return None
-        out.append((live[0], c))
-    return out
+_BLOCK_CELLS = 1 << 12  # small: most charts certify within their first block
 
 
-def _eval_rows_mod(form: HomogeneousForm, rows: np.ndarray, M: int) -> np.ndarray:
-    """form(rows) mod M, for rows holding residues in [0, M) and M < 2^31.
+def _mod_p_zeros(poly: Poly, p: int, budget: _Budget):
+    """Zeros of poly mod p over its active variables; None past the cell budget.
 
-    Each product multiplies two residues below M, so it stays below
-    M^2 < 2^62 and int64 never wraps.  A larger M raises ValueError; the
-    check reads only M, never the rows.
+    Returns (active variable indices, iterator of zero-row blocks).  The
+    p^k residue cells are walked in lexicographic order, at most 2^12 at a
+    time, so memory stays bounded and a caller that stops at its first
+    certified zero evaluates no further block.  Each block's cells are
+    charged to the budget as it is evaluated.
     """
-    if M >= 2**31:
-        raise ValueError(f"modulus {M} too large for int64 residue products")
-    acc = np.zeros(rows.shape[0], dtype=np.int64)
-    for c, exps in form.monomials:
-        term = np.full(rows.shape[0], c % M, dtype=np.int64)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * rows[:, i] % M
-        acc = (acc + term) % M
-    return acc
+    nvars = len(next(iter(poly)))
+    reduced = {e: c % p for e, c in poly.items() if c % p}
+    active = sorted({i for e in reduced for i in range(nvars) if e[i]})
+    if p ** len(active) > budget.cell_cap - budget.cells:
+        return None
+    return active, _zero_blocks(reduced, active, p, budget)
 
 
-def _level1_chunks(form: HomogeneousForm, p: int, budget: _Budget):
-    """Yield the nonzero residue vectors mod p killing the form, in blocks.
-
-    A diagonal form in two or more variables takes the root table at every
-    p: the head variable's roots are tabled by value and the trailing
-    variables are streamed in blocks of at most 2^18 tails, one cell charged
-    per tail.  It walks tail-major (tails lexicographic, head roots in
-    arithmetic order).  Any other form walks the p^m grid lexicographically,
-    in one block when p^m <= 2e6 and sliced on the leading variable above.
-    The zero set is the same either way; only the level-1 witness depends
-    on the order.  Yields None once when the budget dies.
-    """
-    m = form.nvars
-    diag = _diagonal_data(form)
-    block = 1 << 18
-    if diag is None or m == 1:
-        if p**m <= 2_000_000:
-            if budget.spend(cells=p**m):
-                yield None
-                return
-            idx = np.indices((p,) * m).reshape(m, -1)
-            rows = idx.T
-            vals = _eval_rows_mod(form, rows, p)
-            mask = vals == 0
-            mask[0] = False
-            yield rows[mask]
-            return
-        # big non-diagonal grid: slice on the leading variable
-        for lead in range(p):
-            if budget.spend(cells=p ** (m - 1)):
-                yield None
-                return
-            idx = np.indices((p,) * (m - 1)).reshape(m - 1, -1)
-            rows = np.column_stack([np.full(idx.shape[1], lead, dtype=np.int64), idx.T])
-            vals = _eval_rows_mod(form, rows, p)
-            mask = vals == 0
-            if lead == 0:
-                mask[0] = False
-            out = rows[mask]
-            if out.shape[0]:
-                yield out
+def _zero_blocks(reduced: Poly, active: list[int], p: int, budget: _Budget):
+    k = len(active)
+    if not k:
+        # a unit constant (the caller divided out the content): no zeros
+        budget.spend(cells=1)
         return
-    # diagonal fast path: root table on the head variable, tails streamed
-    d = form.degree
-    coeffs = [0] * m
-    for i, c in diag:
-        coeffs[i] = coeffs[i] + c
-    x = np.arange(p, dtype=np.int64)
-    powd = x.copy()
-    for _ in range(d - 1):
-        powd = powd * x % p
-    head_vals = coeffs[0] % p * powd % p
-    order = np.argsort(head_vals, kind="stable")
-    counts = np.bincount(head_vals, minlength=p)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    tails = np.indices((p,) * (m - 1)).reshape(m - 1, -1).T
-    for s in range(0, tails.shape[0], block):
-        tchunk = tails[s : s + block]
-        if budget.spend(cells=len(tchunk)):
-            yield None
-            return
-        rest = np.zeros(tchunk.shape[0], dtype=np.int64)
-        for i in range(1, m):
-            rest = (rest + coeffs[i] % p * powd[tchunk[:, i - 1]]) % p
-        want = (-rest) % p
-        cnt = counts[want]
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        rep_tails = np.repeat(tchunk, cnt, axis=0)
-        base = np.repeat(starts[want], cnt)
-        within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        heads = x[order[base + within]]
-        zeros = np.column_stack([heads, rep_tails])
-        zeros = zeros[zeros.any(axis=1)]
+    # Residues stay below p and p <= p^k <= cell cap < 2^31, so every
+    # product of two residues is below 2^62 and int64 never wraps.
+    cells = p**k
+    for start in range(0, cells, _BLOCK_CELLS):
+        idx = np.unravel_index(np.arange(start, min(start + _BLOCK_CELLS, cells)), (p,) * k)
+        n = len(idx[0])
+        budget.spend(cells=n)
+        acc = np.zeros(n, dtype=np.int64)
+        for exps, c in reduced.items():
+            term = np.full(n, c, dtype=np.int64)
+            for pos, i in enumerate(active):
+                for _ in range(exps[i]):
+                    term = term * idx[pos] % p
+            acc = (acc + term) % p
+        zeros = np.column_stack(idx)[acc == 0]
         if zeros.shape[0]:
             yield zeros
-
-
-def _canonical_reps(nodes: np.ndarray, p: int) -> np.ndarray:
-    """One representative per unit-scaling class, lex-sorted.
-
-    Rows are packed into scalar base-p keys for the dedup, so p^nvars must fit
-    in int64; every caller has p <= a few hundred and nvars <= 4.
-    """
-    m = nodes.shape[1]
-    if p**m >= 2**62:
-        raise ValueError("residue vectors too wide to pack")
-    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
-    lead_idx = np.argmax(nodes != 0, axis=1)
-    lead = nodes[np.arange(nodes.shape[0]), lead_idx]
-    scaled = nodes * inv[lead][:, None] % p
-    keys = np.zeros(scaled.shape[0], dtype=np.int64)
-    for col in range(m):
-        keys = keys * p + scaled[:, col]
-    keys = np.unique(keys)
-    out = np.empty((keys.shape[0], m), dtype=np.int64)
-    for col in range(m - 1, -1, -1):
-        out[:, col] = keys % p
-        keys //= p
-    return out
 
 
 def _reconstruct(base: list[int], scale: list[int], y: dict[int, int]) -> tuple[int, ...]:
@@ -467,10 +354,7 @@ def _original_certificate(
     if best is None:
         return None
     i, vd = best
-    if fval == 0:
-        k = 2 * vd + 1
-        return (tuple(v % p**k for v in point), k, i)
-    if valuation(fval, p) > 2 * vd:
+    if fval == 0 or valuation(fval, p) > 2 * vd:
         k = 2 * vd + 1
         return (tuple(v % p**k for v in point), k, i)
     return None
@@ -485,29 +369,31 @@ class _Search:
         self.depth_seen = 1
         self.witness: Optional[tuple[tuple[int, ...], int, int]] = None
 
+    def _exact_witness(self, point: tuple[int, ...]) -> None:
+        # an exact zero: certified if some partial is nonzero, else kept as is
+        wit = _original_certificate(self.form, self.p, point)
+        k = wit[1] if wit else self.depth_bound
+        self.witness = wit or (tuple(v % self.p**k for v in point), k, 0)
+
     def _newton_witness(
         self, poly: Poly, y: dict[int, int], i: int, base: list[int], scale: list[int]
     ) -> bool:
         """Refine an affine Hensel certificate until the original form certifies."""
         p = self.p
         yy = dict(y)
+        dpoly = _poly_partial(poly, i)
         for _ in range(48):
             point = _reconstruct(base, scale, yy)
-            if any(point):
-                wit = _original_certificate(self.form, p, point)
-                if wit is not None:
-                    self.witness = wit
-                    return True
-            w = _poly_eval(poly, tuple(yy.get(j, 0) for j in range(len(scale))))
+            wit = _original_certificate(self.form, p, point)
+            if wit is not None:
+                self.witness = wit
+                return True
+            yt = tuple(yy.get(j, 0) for j in range(len(scale)))
+            w = _poly_eval(poly, yt)
             if w == 0:
-                # exact zero but no usable partial; keep as plain solution point
-                if any(point):
-                    k = max(1, self.depth_bound)
-                    self.witness = (tuple(v % p**k for v in point), k, 0)
-                    return True
-                return False
-            dpoly = _poly_partial(poly, i)
-            d = _poly_eval(dpoly, tuple(yy.get(j, 0) for j in range(len(scale))))
+                self._exact_witness(point)
+                return True
+            d = _poly_eval(dpoly, yt)
             if d == 0:
                 return False
             vd = valuation(d, p)
@@ -523,42 +409,38 @@ class _Search:
     def run_affine(
         self, poly: Poly, base: list[int], scale: list[int], depth_left: int
     ) -> Solubility:
-        """Solve poly(y) = 0 over Z_p^m under the recorded substitution chain."""
+        """Solve poly(y) = 0 over Z_p^m, where x = base + scale * y.
+
+        Each zero of poly mod p is a residue disk: a Hensel certificate
+        there proves solubility; otherwise, with depth left, the disk is
+        descended one p-digit deeper, charging one budget node.
+        """
         p = self.p
-        self.depth_seen = max(self.depth_seen, self.depth_bound - depth_left + 1)
-        if self.budget.spend(nodes=1):
-            return Solubility.UNKNOWN
+        self.depth_seen = max(self.depth_seen, self.depth_bound - depth_left)
         g = _min_valuation(poly, p)
         if g:
             poly = {e: c // p**g for e, c in poly.items()}
-        res = _mod_p_zeros(poly, p, self.budget.cell_cap - self.budget.cells)
+        res = _mod_p_zeros(poly, p, self.budget)
         if res is None:
             return Solubility.UNKNOWN
-        active, zeros = res
-        self.budget.spend(cells=p ** len(active) if active else 1)
-        if zeros.shape[0] == 0:
-            return Solubility.INSOLUBLE
-        any_unknown = False
+        active, blocks = res
         nvars = len(scale)
-        for row in zeros:
+        partials = [_poly_partial(poly, i) for i in range(nvars)]
+        any_unknown = False
+        for row in itertools.chain.from_iterable(blocks):
             y = {v: int(r) for v, r in zip(active, row)}
             yt = tuple(y.get(j, 0) for j in range(nvars))
             w = _poly_eval(poly, yt)
             if w == 0:
-                point = _reconstruct(base, scale, y)
-                if any(point):
-                    wit = _original_certificate(self.form, p, point)
-                    k = wit[1] if wit else max(1, self.depth_bound)
-                    self.witness = wit or (tuple(v % p**k for v in point), k, 0)
-                    return Solubility.SOLUBLE
-            else:
-                vw = valuation(w, p)
-                for i in range(nvars):
-                    d = _poly_eval(_poly_partial(poly, i), yt)
-                    if d != 0 and vw > 2 * valuation(d, p):
-                        if self._newton_witness(poly, y, i, base, scale):
-                            return Solubility.SOLUBLE
-            if depth_left <= 0:
+                self._exact_witness(_reconstruct(base, scale, y))
+                return Solubility.SOLUBLE
+            vw = valuation(w, p)
+            for i in range(nvars):
+                d = _poly_eval(partials[i], yt)
+                if d != 0 and vw > 2 * valuation(d, p):
+                    if self._newton_witness(poly, y, i, base, scale):
+                        return Solubility.SOLUBLE
+            if depth_left <= 0 or self.budget.spend(nodes=1):
                 any_unknown = True
                 continue
             nbase = list(base)
@@ -583,18 +465,17 @@ def padic_point_search(
 ) -> SolubilityVerdict:
     """Decide whether form = 0 has a nontrivial p-adic zero, to a depth bound.
 
-    Level 1 inspects the primitive residue vectors mod p killing the form; a
-    zero where some partial derivative stays a unit certifies solubility at
-    once (Hensel).  Each remaining zero spawns a descent through successive
-    p-digit refinements whose dead ends prove insolubility of that branch and
-    whose Hensel-certified points prove solubility (v_p(F) > 2 v_p(dF_i),
-    re-verified on the original form).  All branches dead means insoluble;
-    exhausting the depth bound or the node/cell budget leaves an honest
-    unknown.  Deterministic: level 1 walks a diagonal form's zeros
-    tail-major through a root table and any other form's lexicographically
-    (_level1_chunks); the branches below are descended in lexicographic
-    order of their canonical representatives whatever the level-1 route.
-    Only the witness depends on the level-1 order, not the status.
+    A primitive zero has a first unit coordinate x_i; scaling it to 1 puts
+    the zero on exactly one of m affine charts, chart i being x_i = 1,
+    x_j = p y_j for j < i and x_j = y_j for j > i.  Each chart is solved
+    over Z_p^m by the residue-disk descent (_Search.run_affine): the chart
+    level is depth 1, and each descent through a zero mod p costs one
+    budget node and one level.  A zero where some partial derivative
+    satisfies v_p(F) > 2 v_p(dF_i) certifies solubility (Hensel),
+    re-verified on the original form.  Soluble if any chart is, insoluble
+    if every chart's disks all die, an honest unknown otherwise (depth
+    bound or node/cell budget exhausted).  Deterministic: charts in index
+    order, zeros mod p in lexicographic order.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -602,64 +483,22 @@ def padic_point_search(
         depth_bound = 2 * form.coefficient_valuation_sum(p) + 3
     if depth_bound < 1:
         raise ValueError("depth bound must be >= 1")
-    budget = _Budget(node_budget, 40_000_000)
+    search = _Search(form, p, depth_bound, _Budget(node_budget, 40_000_000))
+    poly = _form_to_poly(form)
     m = form.nvars
-    partials = [form.partial(i) for i in range(m)]
-    rep_blocks: list[np.ndarray] = []
-    saw_zero = False
-    for zeros in _level1_chunks(form, p, budget):
-        if zeros is None:
-            return SolubilityVerdict(Solubility.UNKNOWN, 1)
-        if zeros.shape[0] == 0:
-            continue
-        saw_zero = True
-        # instant Hensel certificates: a unit partial derivative at a zero mod p
-        cert_idx = np.full(zeros.shape[0], -1, dtype=np.int64)
-        for i in reversed(range(m)):
-            if partials[i] is None:
-                continue
-            dvals = _eval_rows_mod(partials[i], zeros, p)
-            cert_idx[dvals != 0] = i
-        hits = np.nonzero(cert_idx >= 0)[0]
-        if hits.size:
-            r = int(hits[0])
-            vec = tuple(int(v) for v in zeros[r])
-            return SolubilityVerdict(Solubility.SOLUBLE, 1, (vec, 1, int(cert_idx[r])))
-        rep_blocks.append(_canonical_reps(zeros, p))
-    if not saw_zero:
-        return SolubilityVerdict(Solubility.INSOLUBLE, 1)
-    if depth_bound == 1:
-        return SolubilityVerdict(Solubility.UNKNOWN, 1)
-
-    reps = _canonical_reps(np.concatenate(rep_blocks), p)
-    search = _Search(form, p, depth_bound, budget)
-    if p * p < 2**31:
-        # branch kill: v_p(F) = 1 at a representative makes the shifted
-        # polynomial a unit multiple of p, a nonzero constant after division,
-        # so that branch dies at the next level without a descent call.
-        alive = _eval_rows_mod(form, reps, p * p) == 0
-        if not alive.all():
-            search.depth_seen = 2
-            reps = reps[alive]
-    poly0 = _form_to_poly(form)
     any_unknown = False
-    for row in reps:
-        base = [int(v) for v in row]
-        shifted = _poly_substitute(poly0, dict(enumerate(base)), p)
-        if not shifted:
-            # the form vanishes identically on the branch: base itself works
-            wit = _original_certificate(form, p, tuple(base))
-            k = wit[1] if wit else depth_bound
-            witness = wit or (tuple(v % p**k for v in base), k, 0)
-            return SolubilityVerdict(Solubility.SOLUBLE, 1, witness)
-        st = search.run_affine(shifted, base, [p] * m, depth_bound - 1)
+    for i in range(m):
+        # x_i = 1 is injective on the monomials of a homogeneous form, so the
+        # chart polynomial keeps every term and never vanishes
+        chart = {e[:i] + (0,) + e[i + 1 :]: c * p ** sum(e[:i]) for e, c in poly.items()}
+        base = [int(j == i) for j in range(m)]
+        scale = [p] * i + [0] + [1] * (m - i - 1)
+        st = search.run_affine(chart, base, scale, depth_bound - 1)
         if st is Solubility.SOLUBLE:
             return SolubilityVerdict(Solubility.SOLUBLE, search.depth_seen, search.witness)
-        if st is Solubility.UNKNOWN:
-            any_unknown = True
-    if any_unknown:
-        return SolubilityVerdict(Solubility.UNKNOWN, search.depth_seen)
-    return SolubilityVerdict(Solubility.INSOLUBLE, search.depth_seen)
+        any_unknown |= st is Solubility.UNKNOWN
+    status = Solubility.UNKNOWN if any_unknown else Solubility.INSOLUBLE
+    return SolubilityVerdict(status, search.depth_seen)
 
 
 def verify_certificate(form: HomogeneousForm, p: int, verdict: SolubilityVerdict) -> bool:

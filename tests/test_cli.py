@@ -43,6 +43,15 @@ def test_hilbert_symbol_at_infinity(tmp_path, capsys):
     assert rows[0]["result"] == "-1"
 
 
+def test_hilbert_rejects_a_place_past_the_primality_bound(tmp_path, capsys):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin on every base up to 37
+    place = "3317044064679887385961981"
+    code, _ = run_cli(tmp_path, "hilbert", "--symbol", "1", "1", "--place", place)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "config"
+
+
 def test_hilbert_needs_exactly_one_query(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "hilbert", "--place", "3")
     assert code == 2

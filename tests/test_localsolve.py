@@ -20,7 +20,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibstat import arith, localsolve
+from fibstat import arith
 from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
 from fibstat.families import CubicDecider, _canonical_digit_codes, cubic_criterion, family_by_name
 from fibstat.localsolve import (
@@ -204,6 +204,17 @@ def test_prime_support_grows_the_spf_table(monkeypatch):
         assert prime[index == k].tolist() == sorted(factorize(v)), v
 
 
+def test_is_prime_raises_past_its_proven_bound():
+    bound = 318_665_857_834_031_151_167_461
+    below = sympy.prevprime(bound)
+    assert is_prime(below) and not is_prime(below + 2)
+    # a strong pseudoprime to every prime base up to 37
+    pseudo = 1287836182261 * 2575672364521
+    for n in (bound, pseudo, sympy.nextprime(bound)):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
 # ---------------------------------------------------------------------------
 # hilbert symbol
 
@@ -330,6 +341,11 @@ def test_conic_soluble_matches_symbol_equivalence():
     assert conic_soluble(1, 1, -1, 7)
     assert conic_soluble(1, 1, 2, 2)
     assert not conic_soluble(1, 1, 3, 3)
+    nz = [n for n in range(-6, 7) if n != 0]
+    for a, b, c in itertools.product(nz, repeat=3):
+        for v in (2, 3, 5, 7, INF):
+            want = hilbert(Fraction(a, c), Fraction(b, c), v) == 1
+            assert conic_soluble(a, b, c, v) == want, (a, b, c, v)
 
 
 def test_conic_soluble_rejects_zero_coefficient():
@@ -492,9 +508,12 @@ def test_engine_non_diagonal_form():
 
 
 def test_engine_honest_unknown_at_depth_one():
-    form = HomogeneousForm.diagonal([1, 1, -21], 2)
+    # v_3(189) = 3: the chart z = 1 leaves u^2 + v^2 - 21 after dividing by 9,
+    # whose only zero mod 3 needs a descent that depth 1 does not allow
+    form = HomogeneousForm.diagonal([1, 1, -189], 2)
     verdict = padic_point_search(form, 3, depth_bound=1)
     assert verdict.status is Solubility.UNKNOWN
+    assert padic_point_search(form, 3).status is Solubility.INSOLUBLE
 
 
 def test_engine_honest_unknown_on_zero_budget():
@@ -677,11 +696,11 @@ def test_witness_levels_are_consistent():
 
 
 # ---------------------------------------------------------------------------
-# level 1: the diagonal root table against the residue grid
+# every canonical diagonal cubic class
 
 
 def _cubic_class_forms(p):
-    """The representative diagonal cubic of every canonical class present at p.
+    """{canonical code: representative diagonal cubic} for every class at p.
 
     A digit packs (valuation mod 3, cube class); at p = 2 mod 3 every unit
     is a cube, so only the class-0 digits exist there.
@@ -691,25 +710,30 @@ def _cubic_class_forms(p):
     digits = codes[:, None] // 9 ** np.arange(4) % 9
     codes = codes[(digits % 3 < classes).all(axis=1)]
     decider = CubicDecider(p)
-    return [HomogeneousForm.diagonal(decider._rep_coeffs(int(c)), 3) for c in codes]
+    return {
+        int(c): HomogeneousForm.diagonal(decider._rep_coeffs(int(c)), 3) for c in codes.tolist()
+    }
+
+
+# the insoluble canonical codes at p = 1 (mod 3); p = 3 has one, p = 2 (mod 3) none
+_INSOLUBLE_CUBIC_CODES = {3168, 3177, 3178, 4626, 4635, 4636, 4707, 4716, 4717, 4726, 4788, 4798}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 19, 31])
-def test_root_table_matches_grid_on_every_cubic_class(p, monkeypatch):
+def test_every_cubic_class_is_decided(p):
     forms = _cubic_class_forms(p)
     assert len(forms) == (55 if p == 3 or p % 3 == 1 else 5)
-    table = [padic_point_search(f, p).status for f in forms]
-    # _diagonal_data -> None sends the same forms through the residue grid
-    monkeypatch.setattr(localsolve, "_diagonal_data", lambda form: None)
-    grid = [padic_point_search(f, p).status for f in forms]
-    assert table == grid
-    assert Solubility.UNKNOWN not in table
+    status = {code: padic_point_search(form, p).status for code, form in forms.items()}
+    assert Solubility.UNKNOWN not in status.values()
+    insoluble = {code for code, st in status.items() if st is Solubility.INSOLUBLE}
+    want = {3996} if p == 3 else _INSOLUBLE_CUBIC_CODES if p % 3 == 1 else set()
+    assert insoluble == want
 
 
 @pytest.mark.parametrize("p", [2, 7, 13, 67])
 def test_root_table_soluble_verdicts_carry_certificates(p):
     soluble = 0
-    for form in _cubic_class_forms(p):
+    for form in _cubic_class_forms(p).values():
         verdict = padic_point_search(form, p)
         if verdict.status is Solubility.SOLUBLE:
             soluble += 1
@@ -717,25 +741,17 @@ def test_root_table_soluble_verdicts_carry_certificates(p):
     assert soluble > 0
 
 
-@pytest.mark.parametrize("p", [2, 7])
-def test_diagonal_level_one_walks_the_tails_only(p):
-    form = HomogeneousForm.diagonal([1, 2, 7, 14], 3)
-    budget = localsolve._Budget(0, 10**9)
-    chunks = list(localsolve._level1_chunks(form, p, budget))
-    # one cell per tail, not p^4 grid cells nor a whole 2^18 block
-    assert budget.cells == p**3
-    grid = np.indices((p,) * 4).reshape(4, -1).T[1:]
-    want = grid[localsolve._eval_rows_mod(form, grid, p) == 0]
-    got = np.concatenate(chunks)
-    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
-
-
-def test_eval_rows_mod_rejects_moduli_past_int64_products():
-    form = HomogeneousForm.diagonal([1, 2, 3], 3)
-    rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
-    M = 2**31 - 1
-    want = [sum(c * x**3 for c, x in zip((1, 2, 3), row)) % M for row in rows.tolist()]
-    assert localsolve._eval_rows_mod(form, rows, M).tolist() == want
-    for M in (2**31, 2**40):
-        with pytest.raises(ValueError):
-            localsolve._eval_rows_mod(form, rows, M)
+def test_large_prime_charts_walk_the_grid_in_blocks():
+    # at p = 331 the chart x_0 = 1 of x^3 + y^3 + z^3 + w^3 has p^3 cells,
+    # walked block by block until the first zero certifies
+    p = 331
+    form = HomogeneousForm.diagonal([1, 1, 1, 1], 3)
+    verdict = padic_point_search(form, p)
+    assert verdict.status is Solubility.SOLUBLE
+    assert verify_certificate(form, p, verdict)
+    form = HomogeneousForm.diagonal([1, 2, p, 2 * p], 3)
+    assert padic_point_search(form, p).status is Solubility.INSOLUBLE
+    # one active variable with q residues: every block walked, none a zero
+    q = 262147  # 3 mod 8, so 2 is no square mod q
+    form = HomogeneousForm.diagonal([1, -2], 2)
+    assert padic_point_search(form, q).status is Solubility.INSOLUBLE
