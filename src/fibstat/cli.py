@@ -83,7 +83,6 @@ class RunConfig:
     B: int = 1000
     S: tuple[Place, ...] = (INF,)
     r_max: int = 4
-    depth: Optional[int] = None
     threads: int = 1
     seed: int = 0
     output: str = "fibstat_run"
@@ -112,8 +111,6 @@ class RunConfig:
             raise ConfigError("sample size must be positive")
         if self.centering not in ("paper", "empirical"):
             raise ConfigError(f"unknown centering {self.centering!r}")
-        if self.depth is not None and self.depth < 1:
-            raise ConfigError("depth override must be at least 1")
         if self.command == "tau" and self.prime_cutoff < 2:
             raise ConfigError(f"prime cutoff must be at least 2, got {self.prime_cutoff}")
         # the KS distance needs 100 usable integers, and baseline starts at m = 3
@@ -141,7 +138,6 @@ class RunConfig:
             "B": self.B,
             "S": [render_place(v) for v in self.S],
             "r_max": self.r_max,
-            "depth": self.depth,
             "threads": self.threads,
             "seed": self.seed,
             "output": self.output,
@@ -477,9 +473,7 @@ def _run_tau(cfg: RunConfig):
         f"tau({j}) = {th.counts[j]}/{th.point_count}" for j in sorted(th.counts)
     ]
     if fam.Delta == 0:
-        table = cubic_density_table(
-            cfg.prime_cutoff, cfg.sample_size, seed=cfg.seed, depth=cfg.depth
-        )
+        table = cubic_density_table(cfg.prime_cutoff, cfg.sample_size, seed=cfg.seed)
         for j in range(4):
             pred = tau_limit_prediction(fam, j, cfg.prime_cutoff, table)
             rows.append(("prediction", j, pred.value, pred.std_error, pred.tail_bound))
@@ -615,7 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--B", type=int, default=1000, help="height bound / cutoff")
         p.add_argument("--S", default="inf", help="excluded places, comma list ('' for none)")
         p.add_argument("--r-max", type=int, default=4, dest="r_max")
-        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--threads", type=int, default=default_threads)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default="fibstat_run")
@@ -651,7 +644,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             B=ns.B,
             S=_parse_places(ns.S),
             r_max=ns.r_max,
-            depth=ns.depth,
             threads=ns.threads,
             seed=ns.seed,
             output=ns.output,

@@ -8,16 +8,17 @@ product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
 bad-prime bound A, the growth constant Delta (validated against the declared
 divisor actions), the scalar per-place insolubility test theta, and the
 hooks the vectorized paths run on: theta_grid (at one place, or at one
-prime per row), stable_margin and an optional exact sigma_p (over an
-array of primes).  Record sets carry their descriptor, so the statistics
-layer reads every family-specific behaviour, centering included, here.
+prime per row), digit_model and an optional exact sigma_p (over an array
+of primes).  Record sets carry their descriptor, so the statistics layer
+reads every family-specific behaviour, centering included, here.
 
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
 else), counts obstructed places per point (omega), and calibrates A
-empirically.  Every conic verdict at a finite prime, and the exact conic
-disk density, reads one of three digit-triple verdict tables (p = 2,
-p = 1 and p = 3 mod 4), each built once from localsolve.conic_soluble.
+empirically.  Every finite-prime verdict and exact insoluble density reads
+the family's DigitModel: a digit per coefficient, a code per row, and a
+verdict per code (for conics from one of three digit-triple tables built
+from localsolve.conic_soluble, for cubics from one search per class).
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
@@ -54,6 +55,7 @@ __all__ = [
     "Undecided",
     "ObstructionRecord",
     "FamilyDescriptor",
+    "DigitModel",
     "SigmaTable",
     "DiskDensityEstimate",
     "CalibrationReport",
@@ -68,6 +70,7 @@ __all__ = [
     "conic_two_adic_density",
     "conic_sigma_formula",
     "conic_insoluble_density",
+    "insoluble_density",
     "calibrate_A",
     "conic_insoluble_grid",
     "CubicDecider",
@@ -122,12 +125,11 @@ class FamilyDescriptor:
     theta_grid(rows, v) is theta over an (N, n+1) array of nonzero rows, as
     int8: 0 soluble, 1 insoluble, 2 undecided.  v is one place for every
     row, or an int64 array of primes > A, one per row, so a batch whose
-    rows obstruct at different primes is one call.  stable_margin(p) is
-    how far below the sampling depth each coordinate's valuation must stay
-    for a residue disk's verdict to be constant across lifts.  sigma_p,
-    when present, gives the exact local densities: it takes an int64 array
-    of primes p > A and returns int64 arrays (numerators, denominators),
-    one exact fraction per prime, not necessarily in lowest terms.
+    rows obstruct at different primes is one call.  digit_model(p) is the
+    DigitModel that decides the prime p.  sigma_p, when present, gives the
+    exact local densities: it takes an int64 array of primes p > A and
+    returns int64 arrays (numerators, denominators), one exact fraction per
+    prime, not necessarily in lowest terms.
     """
 
     name: str
@@ -137,7 +139,7 @@ class FamilyDescriptor:
     Delta: Fraction
     theta: Callable[[Sequence[int], Place], bool]
     theta_grid: Callable[[np.ndarray, Place | np.ndarray], np.ndarray]
-    stable_margin: Callable[[int], int]
+    digit_model: Callable[[int], DigitModel]
     divisors: tuple[ComponentAction, ...]
     nonsplit: Optional[Callable[[Sequence[int], int], bool]] = None
     sigma_p: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
@@ -233,8 +235,7 @@ def diagonal_conics() -> FamilyDescriptor:
         Delta=Fraction(3, 2),
         theta=_conic_theta,
         theta_grid=_conic_theta_grid,
-        # unit parts matter mod 8 at p = 2, mod p elsewhere
-        stable_margin=lambda p: 3 if p == 2 else 1,
+        digit_model=_conic_model,
         divisors=tuple(load_bundled_actions("conic_action.txt").values()),
         nonsplit=_conic_nonsplit,
         sigma_p=_conic_sigma_terms,
@@ -261,6 +262,28 @@ def _strip(col: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
         val[idx] += 1
         idx = idx[col[idx] % q == 0]
     raise ValueError("zero entry has no p-adic valuation")
+
+
+@dataclass(frozen=True)
+class DigitModel:
+    """How a family decides one finite prime p.
+
+    digits maps nonzero int64 values to digits below base, and a row's code
+    weights coordinate i's digit by base**i.  verdicts maps codes to int8:
+    0 soluble, 1 insoluble, 2 undecided.  masses[d] is the exact Haar mass
+    of the values in Z_p with digit d.  A digit reads margin p-adic digits
+    of the unit part.
+    """
+
+    base: int
+    digits: Callable[[np.ndarray], np.ndarray]
+    verdicts: Callable[[np.ndarray], np.ndarray]
+    masses: tuple[Fraction, ...]
+    margin: int
+
+    def grid(self, rows) -> np.ndarray:
+        """int8 verdict per row of nonzero entries; a zero raises ValueError."""
+        return self.verdicts(_digit_codes(np.asarray(rows, dtype=np.int64), self.digits, self.base))
 
 
 def _digit_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray], base: int):
@@ -331,7 +354,7 @@ def _conic_verdicts(p: int) -> np.ndarray:
 
     The verdict reads only the digits (_conic_digits) and p mod 4, so
     three tables serve every prime: p = 2, p = 1 mod 4 and p = 3 mod 4,
-    built at the representative primes 2, 5 and 3 (_conic_table picks
+    built at the representative primes 2, 5 and 3 (_conic_model picks
     one).  Each digit gets one representative value p^e u, with u over
     1, 3, 5, 7 at p = 2 and over 1 and the non-residue 2 at p = 3, 5,
     and localsolve.conic_soluble decides each triple.
@@ -344,9 +367,15 @@ def _conic_verdicts(p: int) -> np.ndarray:
     )
 
 
-def _conic_table(p: int) -> np.ndarray:
-    # the verdict table that serves the prime p
-    return _conic_verdicts(2 if p == 2 else 5 if p % 4 == 1 else 3)
+@functools.lru_cache(maxsize=None)
+def _conic_model(p: int) -> DigitModel:
+    # a valuation is even with mass p/(p+1), odd with 1/(p+1); the unit part
+    # is uniform on k classes: its residue symbol at odd p, mod 8 at p = 2
+    k = 4 if p == 2 else 2
+    table = _conic_verdicts(2 if p == 2 else 5 if p % 4 == 1 else 3)
+    masses = tuple(Fraction(p if e == 0 else 1, (p + 1) * k) for e in (0, 1) for _ in range(k))
+    digits = functools.partial(_conic_digits, p=p)
+    return DigitModel(2 * k, digits, table.view(np.int8).take, masses, 3 if p == 2 else 1)
 
 
 def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
@@ -356,23 +385,21 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
     ValueError at a finite place).  place is INF, a prime, or an int64
     array of N odd primes, one per row.  At a finite place a row packs
     its three digits (_conic_digits) into a code, and the code reads its
-    verdict from the table for p = 2 or p mod 4 (_conic_table).  At one prime,
-    rows bounded by m with 2m + 1 at most N read their digits from a
-    table over [-m, m] (_digit_codes); other rows, and rows with a prime
-    each, strip every entry.  Agrees with the scalar Hilbert-symbol
-    route entry by entry.
+    verdict from the table for p = 2 or p mod 4 (_conic_verdicts).  At one
+    prime that is _conic_model(p).grid, where rows bounded by m with
+    2m + 1 at most N read their digits from a table over [-m, m]
+    (_digit_codes); other rows, and rows with a prime each, strip every
+    entry.  Agrees with the scalar Hilbert-symbol route entry by entry.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if np.ndim(place):
         p = np.asarray(place, dtype=np.int64)
         codes = _column_codes(coeffs, lambda col: _conic_digits(col, p), 4)
-        return np.where(p % 4 == 1, _conic_table(5)[codes], _conic_table(3)[codes])
+        return np.where(p % 4 == 1, _conic_verdicts(5)[codes], _conic_verdicts(3)[codes])
     if place == INF:
         a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
         return ((a > 0) & (b > 0) & (c < 0)) | ((a < 0) & (b < 0) & (c > 0))
-    p = int(place)
-    codes = _digit_codes(coeffs, lambda vals: _conic_digits(vals, p), 8 if p == 2 else 4)
-    return _conic_table(p)[codes]
+    return _conic_model(int(place)).grid(coeffs).view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +526,8 @@ class CubicDecider:
     mod 3 and unit cube class, up to permutation and common scalings; the
     p-adic search engine runs once per class on a small representative.
     The unit class table and the verdict per canonical code are built once
-    and kept.
+    and kept.  model is their DigitModel: valuations = r (mod 3) have mass
+    p^-r / (1 + 1/p + 1/p^2), spread evenly over the unit cube classes.
     """
 
     def __init__(self, p: int):
@@ -509,6 +537,11 @@ class CubicDecider:
         self._classes = _cube_class_table(self.p)
         # index into _RANKS per canonical code, -1 until that code is searched
         self._status = np.full(9**4, -1, dtype=np.int8)
+        k = 3 if self.p == 3 or self.p % 3 == 1 else 1
+        mass = 1 / (1 + Fraction(1, self.p) + Fraction(1, self.p**2)) / k
+        masses = tuple(mass / self.p**r * (c < k) for r in range(3) for c in range(3))
+        # cube classes of units are read mod 9 at p = 3, mod p elsewhere
+        self.model = DigitModel(9, self._digits, self._verdicts, masses, 2 if self.p == 3 else 1)
 
     # -- scalar path
 
@@ -549,16 +582,9 @@ class CubicDecider:
         v, u = _strip(values, self.p)
         return (v % 3) * 3 + self._classes[u % len(self._classes)]
 
-    def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
-
-        coeffs is (N, 4) with nonzero entries; a zero raises ValueError.
-        A row's code packs its four digits (_digits, through _digit_codes).
-        The code's canonical class reads its verdict off the kept status
-        array; only classes still unset are searched.
-        """
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        codes = _digit_codes(coeffs, self._digits, 9)
+    def _verdicts(self, codes: np.ndarray) -> np.ndarray:
+        # each code's canonical class reads the kept status array; only
+        # classes still unset are searched
         canonical = _canonical_digit_codes()
         verdicts = self._status[canonical][codes]
         unset = verdicts < 0
@@ -567,6 +593,13 @@ class CubicDecider:
                 self._decide_code(code)
             verdicts = self._status[canonical][codes]
         return verdicts
+
+    def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
+
+        coeffs is (N, 4) with nonzero entries; a zero raises ValueError.
+        """
+        return self.model.grid(coeffs)
 
 
 _cubic_decider = functools.lru_cache(maxsize=None)(CubicDecider)
@@ -613,8 +646,7 @@ def diagonal_cubics() -> FamilyDescriptor:
         Delta=Fraction(0),
         theta=_cubic_theta,
         theta_grid=_cubic_theta_grid,
-        # cube classes of units are read mod 9 at p = 3, mod p elsewhere
-        stable_margin=lambda p: 2 if p == 3 else 1,
+        digit_model=lambda p: _cubic_decider(p).model,
         divisors=tuple(_pseudo_split_divisor() for _ in range(4)),
     )
 
@@ -741,7 +773,7 @@ def sigma_empirical(
 
     Disks are uniform on primitive coefficient vectors mod p^depth.  A disk
     whose verdict is not constant across lifts (some coordinate vanishing
-    to the full depth, or with valuation above depth - stable_margin(p),
+    to the full depth, or with valuation above depth - digit_model(p).margin,
     too shallow to pin the unit class) counts as unknown, as does an
     undecided verdict; unknowns are reported separately and not folded into
     the value.  The remaining disks are decided by one theta_grid call.
@@ -765,7 +797,7 @@ def sigma_empirical(
     rows = rows[:sample_size]
 
     # valuation(v) <= depth - margin, and v != 0, iff p^(depth - margin + 1) does not divide v
-    stable = p ** max(0, precision_depth - family.stable_margin(p) + 1)
+    stable = p ** max(0, precision_depth - family.digit_model(p).margin + 1)
     decided = rows[(rows % stable != 0).all(axis=1)]
     verdicts = family.theta_grid(decided, p)
     insoluble = int((verdicts == 1).sum())
@@ -803,31 +835,36 @@ def conic_sigma_formula(p: int) -> Fraction:
     return Fraction(*_conic_sigma_terms(p))
 
 
+def insoluble_density(family: FamilyDescriptor, p: int) -> Fraction:
+    """Exact Haar density of coefficient vectors whose fibre has no Q_p-point.
+
+    The sum of the digit-mass products of family.digit_model(p)'s insoluble
+    codes, over the codes whose digits all have mass; one undecided such
+    code raises Undecided.  Verdicts are invariant under a common scaling,
+    so this is also the density over primitive vectors (sigma_empirical's).
+    """
+    p = int(p)
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    model = family.digit_model(p)
+    masses = np.array(model.masses, dtype=object)
+    rows = np.array(list(itertools.product(np.flatnonzero(masses).tolist(), repeat=family.n + 1)))
+    verdicts = model.verdicts(rows @ model.base ** np.arange(family.n + 1))
+    if (verdicts == 2).any():
+        raise Undecided(rows[verdicts == 2][0].tolist(), p, "digits of an undecided code")
+    # an empty object sum is the int 0
+    return Fraction(masses[rows[verdicts == 1]].prod(axis=1).sum())
+
+
 def conic_insoluble_density(p: int) -> Fraction:
     """Exact Haar density of p-adically insoluble conics a x^2+b y^2 = c z^2.
 
     This is the disk-level insolubility probability (what sigma_empirical
     estimates), not the residue proxy sigma_p: the two differ by O(1/p^2)
-    per prime.  It is the sum, over the insoluble digit triples of the
-    verdict table for p (_conic_table), of each triple's mass among
-    primitive vectors.  A coordinate's valuation is even with mass
-    p/(p+1) and odd with 1/(p+1), and its unit class (k = 2 residue
-    classes at an odd p, k = 4 classes mod 8 at p = 2) is uniform; a
-    common factor p, which flips every parity, is taken out by
-    inclusion-exclusion.  Every factor is exact, so the result is an
-    exact rational, at p = 2 as at odd p.
+    per prime.  It is insoluble_density of the conic family, an exact
+    rational at every prime.
     """
-    p = int(p)
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    k = 4 if p == 2 else 2
-    m = (Fraction(p, p + 1), Fraction(1, p + 1))
-    pinv3 = Fraction(1, p**3)
-    total = Fraction(0)
-    for code in np.flatnonzero(_conic_table(p)).tolist():
-        ea, eb, ec = (code // (2 * k) ** i % (2 * k) // k for i in range(3))
-        total += m[ea] * m[eb] * m[ec] - pinv3 * m[1 - ea] * m[1 - eb] * m[1 - ec]
-    return total / k**3 / (1 - pinv3)
+    return insoluble_density(diagonal_conics(), p)
 
 
 def conic_two_adic_density() -> Fraction:
@@ -860,17 +897,29 @@ class CalibrationReport:
 _WITNESS_CAP = 64
 
 
+def _units_can_obstruct(family: FamilyDescriptor, p: int) -> bool:
+    # is some code of unit digits alone not soluble?  A unit's digit is
+    # fixed by its residue mod p^margin.
+    model = family.digit_model(p)
+    units = np.arange(1, p**model.margin + 1)
+    digits = np.unique(model.digits(units[units % p != 0]))
+    rows = np.array(list(itertools.product(digits.tolist(), repeat=family.n + 1)))
+    return bool(model.verdicts(rows @ model.base ** np.arange(family.n + 1)).any())
+
+
 def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> CalibrationReport:
     """Smallest bound A such that no tested prime p in (A, p_max] with
     p not dividing f(x) obstructs any smooth fibre of height <= B_cal.
 
-    Exhaustive over all points of P^n(Q) with height <= B_cal, decided per
-    prime by one theta_grid call on each slab's rows coprime to p; the
-    result reports every exception found (all at primes <= A).
+    Exhaustive over all points of P^n(Q) with height <= B_cal.  A prime
+    whose unit-digit codes are all soluble cannot obstruct a row coprime
+    to it and is skipped; each other prime is decided by one theta_grid
+    call on each slab's rows coprime to p.  The result reports every
+    exception found (all at primes <= A).
     """
     if p_max < 2 or B_cal < 1:
         raise ValueError("need p_max >= 2 and B_cal >= 1")
-    primes = [int(p) for p in primes_up_to(p_max)]
+    primes = [p for p in primes_up_to(p_max).tolist() if _units_can_obstruct(family, p)]
     counts: dict[int, int] = {}
     witnesses: list[tuple[ProjPoint, int]] = []
     undecided: dict[int, ProjPoint] = {}

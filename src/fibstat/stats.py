@@ -844,18 +844,17 @@ def cubic_density_table(
     prime_cutoff: int,
     sample_size: int = 60_000,
     seed: int = 0,
-    depth: Optional[int] = None,
 ) -> dict[int, DiskDensityEstimate]:
     """Monte Carlo insoluble-disk densities for the cubic family, per prime.
 
-    depth overrides the per-prime precision (default 10 / 7 / 4 for
-    p = 2 / 3 / larger, enough to pin unit cube classes).
+    Disks are sampled at precision 10 / 7 / 4 for p = 2 / 3 / larger,
+    enough to pin unit cube classes.
     """
     fam = diagonal_cubics()
     table = {}
     for p in primes_up_to(prime_cutoff):
         p = int(p)
-        d = depth if depth is not None else 10 if p == 2 else 7 if p == 3 else 4
+        d = 10 if p == 2 else 7 if p == 3 else 4
         table[p] = sigma_empirical(fam, p, sample_size, d, seed=seed + p)
     return table
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fibstat import families
-from fibstat.arith import factorize
+from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
     CubicDecider,
     DiskDensityEstimate,
@@ -23,6 +23,7 @@ from fibstat.families import (
     diagonal_conics,
     diagonal_cubics,
     family_by_name,
+    insoluble_density,
     omega_formula_conics,
     omega_pi,
     sigma_empirical,
@@ -100,6 +101,7 @@ def test_renamed_family_gives_identical_results():
             renamed, p, 2000, depth, seed=4
         )
         assert calibrate_A(fam, p_max, B) == calibrate_A(renamed, p_max, B)
+        assert insoluble_density(fam, p) == insoluble_density(renamed, p)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +353,43 @@ def test_conic_insoluble_density_frozen():
         assert conic_insoluble_density(p) == want, p
 
 
+def test_cubic_insoluble_density_closed_forms():
+    fam = diagonal_cubics()
+    for p in primes_up_to(97).tolist():
+        got = insoluble_density(fam, p)
+        assert isinstance(got, Fraction)
+        if p % 3 == 1:
+            want = Fraction(8 * p**2 * (p + 1) ** 2, 3 * (p**2 + p + 1) ** 3)
+        else:
+            want = Fraction(200, 6591) if p == 3 else Fraction(0)
+        assert got == want, p
+
+
+def test_cubic_insoluble_density_matches_sampled_disks():
+    est = sigma_empirical(diagonal_cubics(), 7, 40000, 5, seed=7)
+    exact = insoluble_density(diagonal_cubics(), 7)
+    assert abs(est.value - float(exact)) <= 4 * est.standard_error + est.unknown_fraction
+
+
+def test_insoluble_density_raises_on_an_undecided_code():
+    fam = diagonal_conics()
+    model = dataclasses.replace(fam.digit_model(5), verdicts=lambda codes: np.full(len(codes), 2, np.int8))
+    moody = dataclasses.replace(fam, name="moody", digit_model=lambda p: model)
+    with pytest.raises(Undecided):
+        insoluble_density(moody, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
+def test_digit_verdicts_invariant_under_common_scaling(fam, p):
+    # the premise of insoluble_density: scaling a row by p keeps its verdict
+    rng = np.random.default_rng(p)
+    rows = rng.integers(-60, 61, size=(400, fam.n + 1))
+    rows = rows[(rows != 0).all(axis=1)]
+    model = fam.digit_model(p)
+    assert model.grid(rows).tolist() == model.grid(p * rows).tolist()
+
+
 def test_sigma_empirical_conics_vs_exact_disks():
     # oracle: exhaustive classification of residue disks mod 25
     p, depth = 5, 2
@@ -434,8 +473,13 @@ def test_calibrate_conics_small():
 def test_calibrate_conics_exhaustive():
     rep = calibrate_A(diagonal_conics(), 50, 100)
     assert rep.A == 2
-    assert set(rep.exception_counts) == {2}
+    assert rep.exception_counts == {2: 118519}
     assert len(rep.witnesses) == 64  # capped sample of a large exception set
+    assert [(pt.coords, p) for pt, p in rep.witnesses[:3]] == [
+        ((1, -99, -97), 2),
+        ((1, -99, -93), 2),
+        ((1, -99, -89), 2),
+    ]
     assert not rep.undecided
 
 
