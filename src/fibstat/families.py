@@ -22,8 +22,9 @@ from localsolve.conic_soluble, for cubics from one search per class).
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
-and omega_pi turns that into a tainted record.  Scans, samples, density
-estimates and calibration all decide through theta_grid; the scalar theta,
+and omega_pi turns that into a tainted record.  Exhaustive scans read
+digit_model at every finite prime; the real place, samples, density
+estimates and calibration decide through theta_grid.  The scalar theta,
 omega_pi and CubicDecider.decide are the reference tests hold them to.
 """
 
@@ -125,8 +126,10 @@ class FamilyDescriptor:
     theta_grid(rows, v) is theta over an (N, n+1) array of nonzero rows, as
     int8: 0 soluble, 1 insoluble, 2 undecided.  v is one place for every
     row, or an int64 array of primes > A, one per row, so a batch whose
-    rows obstruct at different primes is one call.  digit_model(p) is the
-    DigitModel that decides the prime p.  sigma_p, when present, gives the
+    rows obstruct at different primes is one call; it serves the real
+    place of a scan, the sampler and calibration.  digit_model(p) is the
+    DigitModel that decides the prime p; exhaustive scans read it directly,
+    on digit grids.  sigma_p, when present, gives the
     exact local densities: it takes an int64 array of primes p > A and
     returns int64 arrays (numerators, denominators), one exact fraction per
     prime, not necessarily in lowest terms.
@@ -269,8 +272,9 @@ class DigitModel:
     """How a family decides one finite prime p.
 
     digits maps nonzero int64 values to digits below base, and a row's code
-    weights coordinate i's digit by base**i.  verdicts maps codes to int8:
-    0 soluble, 1 insoluble, 2 undecided.  masses[d] is the exact Haar mass
+    weights coordinate i's digit by base**i.  verdicts maps an integer
+    array of codes, of any shape, to int8 of that shape: 0 soluble,
+    1 insoluble, 2 undecided.  masses[d] is the exact Haar mass
     of the values in Z_p with digit d.  A digit reads margin p-adic digits
     of the unit part.
     """

@@ -2,7 +2,8 @@
 
 A point of P^n(Q) is stored as its primitive integer vector with first nonzero
 coordinate positive; its height is the sup-norm of that vector.  The module
-enumerates all points of height <= B, counts them exactly (including counts
+enumerates all points of height <= B (one at a time, in numpy slabs, or as
+coprimality masks over a shared tail grid), counts them exactly (including counts
 restricted to congruence classes mod a squarefree Q), and computes the size of
 P^n(Z/Q) for arbitrary moduli.
 
@@ -21,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import zeta
 
-from .arith import factorize, moebius_up_to
+from .arith import factorize, moebius_up_to, prime_support
 
 __all__ = [
     "ProjPoint",
@@ -29,6 +30,7 @@ __all__ = [
     "cn",
     "proj_size",
     "enumerate_points",
+    "lead_masks",
     "point_slabs",
     "count_points",
     "residue_classes",
@@ -154,31 +156,41 @@ def enumerate_points(n: int, B: int) -> Iterator[ProjPoint]:
                     yield ProjPoint(coords, max(lead, max(abs(t) for t in tail)))
 
 
+def lead_masks(n: int, B: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The points of height <= B as (zeros, lead, mask), in enumerate_points order.
+
+    mask is a fresh boolean array over the tail grid [-B, B]^(n - zeros)
+    (index k on an axis holds k - B), True where (0,..,0, lead, tail) is
+    primitive: it clears, for each prime p | lead, the strided slice
+    B % p :: p on every axis, where p divides the whole tail.  With no tail
+    left only lead 1 is yielded.
+    """
+    if n < 1 or B < 1:
+        raise ValueError("need n >= 1 and B >= 1")
+    index, prime = prime_support(np.arange(1, B + 1))
+    primes_of = np.split(prime, np.searchsorted(index, np.arange(1, B)))  # lead a at a - 1
+    for zeros in range(n + 1):
+        tail_len = n - zeros
+        for lead in range(1, B + 1 if tail_len else 2):
+            mask = np.ones((2 * B + 1,) * tail_len, dtype=bool)
+            for p in primes_of[lead - 1].tolist():
+                mask[(slice(B % p, None, p),) * tail_len] = False
+            yield zeros, lead, mask
+
+
 def point_slabs(n: int, B: int) -> Iterator[np.ndarray]:
     """Canonical primitive vectors of height <= B in numpy slabs (N, n+1).
 
     Same point set as enumerate_points, materialized slab-by-slab (one slab per
-    leading coordinate value) for vectorized consumers.
+    leading coordinate value, the rows of its lead_masks mask in grid order)
+    for vectorized consumers.
     """
-    if n < 1 or B < 1:
-        raise ValueError("need n >= 1 and B >= 1")
-    side = np.arange(-B, B + 1, dtype=np.int64)
-    for zeros in range(n + 1):
-        tail_len = n - zeros
-        if tail_len == 0:
-            yield np.array([[0] * zeros + [1]], dtype=np.int64)
-            continue
-        grids = np.meshgrid(*([side] * tail_len), indexing="ij")
-        tails = np.stack([g.ravel() for g in grids], axis=1)
-        g = np.gcd.reduce(tails, axis=1)
-        for lead in range(1, B + 1):
-            mask = np.gcd(g, lead) == 1
-            sel = tails[mask]
-            out = np.empty((sel.shape[0], n + 1), dtype=np.int64)
-            out[:, :zeros] = 0
-            out[:, zeros] = lead
-            out[:, zeros + 1 :] = sel
-            yield out
+    for zeros, lead, mask in lead_masks(n, B):
+        out = np.empty((np.count_nonzero(mask), n + 1), dtype=np.int64)
+        out[:, :zeros] = 0
+        out[:, zeros] = lead
+        out[:, zeros + 1 :] = np.argwhere(mask) - B
+        yield out
 
 
 def count_points(n: int, B: int) -> int:

@@ -15,7 +15,6 @@ the integers up to a bound, pushed through the same reductions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from .families import (
     sigma_empirical,
 )
 from .localsolve import INF, Place
-from .projective import count_points, enumerate_points, point_slabs
+from .projective import count_points, enumerate_points, lead_masks
 
 __all__ = [
     "RecordSet",
@@ -207,119 +206,122 @@ def scan(family: FamilyDescriptor, B: int, S=(INF,)):
     return records, ScanSummary(points, singular, tainted)
 
 
-# one scatter per place: insoluble verdicts count in the low 32 bits of a
-# row's tally, undecided ones in the bits above
-_TALLY = np.array([0, 1, 1 << 32], np.int64)
-_INSOLUBLE_MASK = (1 << 32) - 1
+class _FiniteGrids:
+    """omega and taint at the primes outside S, as grids over the tail grid.
 
-
-def _block_omega(family: FamilyDescriptor, rows: np.ndarray, support, S: tuple):
-    """omega and taint of a block of smooth rows, from the theta_grid hook.
-
-    Primes <= family.A and the real place are tested on every row; support
-    covers the primes p > A, each tested only where it can obstruct.  It
-    yields (v, sel) pairs of two kinds: a prime v with the index array sel
-    of the rows it divides, each row once, or an int64 array v of primes
-    with the index array sel of the row each one divides (an index may
-    repeat; the array must hold no place of S), decided by one array-place
-    call.  Places in S are skipped.
+    Position t of the tail grid [-B, B]^n (index k on an axis holds k - B)
+    stands for the row (a, t) of a lead a.  Each prime p <= max(A, B)
+    outside S reads family.digit_model(p), with digits computed once over
+    [-B, B] (0, which no row holds, reads as 1) and over the leads 1..B; a
+    position's code is a broadcast sum of per-axis digits.  A prime p <= A,
+    or p | a, is decided on the whole grid.  Otherwise p can only obstruct
+    on the hyperplanes p | t_i, each the strided slice B % p :: p of axis
+    i, and counts at the first axis whose entry it divides.  The verdicts
+    depend on a only through its digit and whether p | a, so they are kept
+    per prime and (digit, whole grid).
     """
-    tally = np.zeros(len(rows), np.int64)
-    everywhere = [(int(p), slice(None)) for p in primes_up_to(family.A)] + [(INF, slice(None))]
-    for v, sel in itertools.chain(everywhere, support):
-        if np.ndim(v):
-            np.add.at(tally, sel, _TALLY[family.theta_grid(rows[sel], v)])
-        elif v not in S:
-            tally[sel] += _TALLY[family.theta_grid(rows[sel], v)]
-    return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK
 
+    def __init__(self, family: FamilyDescriptor, B: int, S: tuple):
+        n = family.n
+        self.A, self.B, self.shape = family.A, B, (2 * B + 1,) * n
+        side = np.arange(-B, B + 1)
+        side[B] = 1
+        self.primes = []
+        for p in primes_up_to(max(family.A, B)).tolist():
+            if p not in S:
+                model = family.digit_model(p)
+                width = np.min_scalar_type(model.base ** (n + 1) - 1)
+                digits = model.digits(side).astype(width)
+                terms = [
+                    (digits * model.base ** (i + 1)).reshape((-1,) + (1,) * (n - 1 - i))
+                    for i in range(n)
+                ]
+                leads = model.digits(np.arange(1, B + 1)).astype(width)
+                self.primes.append((p, model, terms, leads, {}))
 
-def _across(ufunc, a: np.ndarray) -> np.ndarray:
-    # ufunc folded over a's columns, one row at a time: numpy reduces a
-    # short last axis several times slower than it combines whole columns
-    return functools.reduce(ufunc, a.T)
+    def _parts(self, p, model, terms, digit, whole):
+        # (grid index, insoluble mask, undecided mask) per decided region,
+        # a mask None when empty
+        cut = slice(self.B % p, None, p)
+        regions = [(Ellipsis, terms)] if whole else [
+            ((slice(None),) * i + (cut,), [t[cut] if j == i else t for j, t in enumerate(terms)])
+            for i in range(len(terms))
+        ]
+        parts = []
+        for i, (at, region) in enumerate(regions):
+            verdicts = model.verdicts(functools.reduce(np.add, region, digit))
+            masks = []
+            for value in (1, 2):
+                hit = verdicts == value
+                for j in range(0 if whole else i):
+                    hit[(slice(None),) * j + (cut,)] = False
+                masks.append(hit if hit.any() else None)
+            parts.append((at, *masks))
+        return parts
 
-
-def _prime_table(family: FamilyDescriptor, B: int, S: tuple):
-    """The primes A < p <= B outside S, and which of them divide each value 1..B.
-
-    Returns (primes, starts, index), a compressed sparse row table: the
-    primes dividing v are primes[index[starts[v]:starts[v + 1]]].  index
-    holds the smallest unsigned int type that fits, which numpy sorts by
-    radix.
-    """
-    value, prime = prime_support(np.arange(1, B + 1))
-    keep = (prime > family.A) & ~np.isin(prime, [v for v in S if v != INF])
-    primes = np.unique(prime[keep])
-    starts = np.zeros(B + 2, np.int64)
-    np.cumsum(np.bincount(value[keep] + 1, minlength=B + 1), out=starts[1:])
-    index = np.searchsorted(primes, prime[keep]).astype(np.min_scalar_type(len(primes)))
-    return primes, starts, index
-
-
-def _rows_by_prime(table, coords: np.ndarray):
-    """(p, index array of the rows p divides) for each prime of the table dividing a row.
-
-    coords holds the rows' absolute values.  Every (row, prime) pair is
-    gathered from the table, the pairs are grouped by a stable sort on the
-    prime index, which keeps each group's rows ascending, and a pair
-    repeating its predecessor (a prime dividing two coordinates of one row)
-    is dropped.
-    """
-    primes, starts, index = table
-    flat = coords.ravel()
-    first = starts[flat]
-    count = starts[flat + 1] - first
-    total = int(count.sum())
-    # pair k of the run for an entry sits at index[first + k]
-    shift = first - (np.cumsum(count) - count)
-    prime = index[np.arange(total) + np.repeat(shift, count)]
-    row = np.repeat(np.arange(len(coords)), _across(np.add, count.reshape(coords.shape)))
-    order = np.argsort(prime, kind="stable")
-    prime, row = prime[order], row[order]
-    new = np.ones(total, bool)
-    new[1:] = (prime[1:] != prime[:-1]) | (row[1:] != row[:-1])
-    prime, row = prime[new], row[new]
-    ends = np.cumsum(np.bincount(prime, minlength=len(primes)))
-    return (
-        (int(primes[k]), row[lo:hi])
-        for k, lo, hi in zip(range(len(primes)), itertools.chain([0], ends), ends)
-        if lo < hi
-    )
+    def lead(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """(omega as uint8, taint) grids of the rows with lead a."""
+        omega = np.zeros(self.shape, np.uint8)
+        taint = np.zeros(self.shape, bool)
+        for p, model, terms, leads, kept in self.primes:
+            key = int(leads[a - 1]), p <= self.A or a % p == 0
+            if key not in kept:
+                kept[key] = self._parts(p, model, terms, *key)
+            for at, insoluble, undecided in kept[key]:
+                if insoluble is not None:
+                    omega[at] += insoluble
+                if undecided is not None:
+                    taint[at] |= undecided
+        return omega, taint
 
 
 def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
-    A coefficient of a height-B point is at most B, so only primes <= B
-    can divide one.  A table of the primes p > A outside S dividing each
-    value 1..B is built once; each slab gathers its rows' primes from it,
-    and each prime is tested by one theta_grid call on the rows it
-    divides.  The columns are allocated once for all count_points(n, B)
-    points, filled slab by slab and returned as views of the rows filled,
-    so no column is ever held twice.
+    Walks the leads and masks of projective.lead_masks, which point_slabs
+    is built on.  A point with a leading zero is singular; for a lead a,
+    the rows are the coprime positions with no zero entry, in point_slabs
+    order, and the other coprime positions are singular.  The primes
+    (only those <= B can divide a coordinate) are decided on the grid
+    through their digit_model (_FiniteGrids), the real place, unless in S,
+    by one theta_grid call on the lead's rows.  The columns are allocated
+    once for all count_points(n, B) points, filled lead by lead and
+    returned as views of the rows filled, so no column is held twice.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     S = tuple(S)
-    table = _prime_table(family, B, S)
-    size = count_points(family.n, B)
+    n = family.n
+    finite = _FiniteGrids(family, B, S)
+    size = count_points(n, B)
     omegas = np.empty(size, np.int64)
     heights = np.empty(size, np.int64)
     tainted = np.empty(size, bool)
+    axes = np.ix_(*[np.arange(-B, B + 1, dtype=np.min_scalar_type(-B - 1))] * n)
+    nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in axes])
+    tail_height = functools.reduce(np.maximum, map(np.abs, axes)).ravel()
+    # each axis's value at every position, for the real place's rows
+    coords = [np.broadcast_to(ax, finite.shape).ravel() for ax in axes] if INF not in S else []
     filled = singular = 0
-    for slab in point_slabs(family.n, B):
-        smooth = _across(np.logical_and, slab != 0)
-        singular += int((~smooth).sum())
-        rows = slab[smooth]
-        if not len(rows):
+    for zeros, lead, mask in lead_masks(n, B):
+        points = int(np.count_nonzero(mask))
+        idx = np.flatnonzero(mask & nonzero) if not zeros else []
+        singular += points - len(idx)
+        if not len(idx):
             continue
-        coords = np.abs(rows)
-        end = filled + len(rows)
-        omegas[filled:end], tainted[filled:end] = _block_omega(
-            family, rows, _rows_by_prime(table, coords), S
-        )
-        heights[filled:end] = _across(np.maximum, coords)
+        omega, taint = finite.lead(lead)
+        end = filled + len(idx)
+        omegas[filled:end] = omega.ravel()[idx]
+        tainted[filled:end] = taint.ravel()[idx]
+        heights[filled:end] = np.maximum(tail_height[idx], lead)
+        if coords:
+            rows = np.empty((len(idx), n + 1), np.int64)
+            rows[:, 0] = lead
+            for i, col in enumerate(coords, 1):
+                rows[:, i] = col[idx]
+            verdicts = family.theta_grid(rows, INF)
+            omegas[filled:end] += verdicts == 1
+            tainted[filled:end] |= verdicts == 2
         filled = end
     return RecordSet(
         family, B, S, omegas[:filled], heights[:filled], tainted[:filled], singular
@@ -361,12 +363,19 @@ def _sample_chunk(family, B, want, seed_seq):
 _BLOCK_ROWS = 4096
 
 
-def _sample_block(family, rows, S):
-    """omega and taint of a block of sampled rows.
+# one scatter per place: insoluble verdicts count in the low 32 bits of a
+# row's tally, undecided ones in the bits above
+_TALLY = np.array([0, 1, 1 << 32], np.int64)
+_INSOLUBLE_MASK = (1 << 32) - 1
 
-    The primes > A dividing some coordinate come from one prime_support
-    lookup, deduplicated per row, with the primes in S dropped; they are
-    decided by one array-place theta_grid call.
+
+def _sample_block(family, rows, S):
+    """omega and taint of a block of sampled rows, from the theta_grid hook.
+
+    The primes <= A and the real place, unless in S, are tested on every
+    row.  The primes > A dividing some coordinate come from one
+    prime_support lookup, deduplicated per row, with the primes in S
+    dropped; they are decided by one array-place theta_grid call.
     """
     index, prime = prime_support(rows)
     row = index // rows.shape[1]
@@ -376,7 +385,13 @@ def _sample_block(family, rows, S):
     first = np.ones(len(row), bool)
     first[1:] = (row[1:] != row[:-1]) | (prime[1:] != prime[:-1])
     keep = first & (prime > family.A) & ~np.isin(prime, [v for v in S if v != INF])
-    return _block_omega(family, rows, [(prime[keep], row[keep])], S)
+    tally = np.zeros(len(rows), np.int64)
+    for v in [*primes_up_to(family.A).tolist(), INF]:
+        if v not in S:
+            tally += _TALLY[family.theta_grid(rows, v)]
+    row = row[keep]
+    np.add.at(tally, row, _TALLY[family.theta_grid(rows[row], prime[keep])])
+    return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK
 
 
 def sample_records(
@@ -738,9 +753,10 @@ class TauHistogram:
 def _untainted_bins(rs: RecordSet) -> np.ndarray:
     """Number of untainted rows with omega = j, for j = 0, 1, ..."""
     om = np.asarray(rs.omegas)
-    if not np.array_equal(om, np.round(om)):
+    # an integer column needs no check and no copy
+    if om.dtype.kind not in "iu" and not np.array_equal(om, np.round(om)):
         raise ValueError("histogram needs integer counts")
-    return np.bincount(om.astype(np.int64)[~np.asarray(rs.tainted, bool)])
+    return np.bincount(om.astype(np.int64, copy=False)[~np.asarray(rs.tainted, bool)])
 
 
 def tau_histogram(records: RecordSet) -> TauHistogram:

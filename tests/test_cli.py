@@ -229,6 +229,14 @@ def test_tau_taint_ceiling_exit(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "taint"
 
 
+def test_tau_refuses_a_scan_above_physical_memory(tmp_path, capsys):
+    # count_points(3, 200) rows take about 200 GB of columns
+    code, _ = run_cli(tmp_path, "tau", "--family", "diagonal-cubics", "--B", "200")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "physical memory" in err["detail"]
+
+
 @pytest.mark.parametrize("argv", [
     ("tau", "--family", "diagonal-cubics", "--B", "4", "--prime-cutoff", "1"),
     ("tau", "--B", "4", "--prime-cutoff", "0"),

@@ -83,18 +83,25 @@ def _assert_same_columns(via_scan, fast):
 
 
 def test_vectorized_conic_route_matches_scalar():
-    for S in ((INF,), ()):
+    # S = (2,) leaves out a prime <= A, which is otherwise decided on every row
+    for S in ((INF,), (), (2,)):
         records, summary = scan(CONICS, 12, S)
         via_scan = RecordSet.from_records(records, CONICS, 12, S, summary.singular_count)
         _assert_same_columns(via_scan, record_set(CONICS, 12, S))
 
 
 def test_vectorized_cubic_route_matches_scalar():
-    records, summary = scan(CUBICS, 6)
-    via_scan = RecordSet.from_records(records, CUBICS, 6, (INF,), summary.singular_count)
-    fast = record_set(CUBICS, 6)
-    _assert_same_columns(via_scan, fast)
-    assert fast.tainted_count == 0
+    # B = 9 is the least bound with a cubic obstruction (at 3, through the
+    # coefficient 9), so leaving 3 out changes the counts
+    obstructed = []
+    for S in ((INF,), (3,)):
+        records, summary = scan(CUBICS, 9, S)
+        via_scan = RecordSet.from_records(records, CUBICS, 9, S, summary.singular_count)
+        fast = record_set(CUBICS, 9, S)
+        _assert_same_columns(via_scan, fast)
+        assert fast.tainted_count == 0
+        obstructed.append(int(fast.omegas.sum()))
+    assert obstructed[0] > obstructed[1]
 
 
 def test_record_set_drops_primes_of_s_from_the_table():
@@ -105,27 +112,40 @@ def test_record_set_drops_primes_of_s_from_the_table():
     _assert_same_columns(via_scan, record_set(CONICS, 15, S))
 
 
-def test_record_set_tests_each_prime_once_per_row():
-    calls = []
+def _verdicts_everywhere(model, verdict):
+    # the model with every code given one verdict
+    def verdicts(codes):
+        return np.full(np.shape(codes), verdict, np.int8)
 
+    return dataclasses.replace(model, verdicts=verdicts)
+
+
+def test_record_set_tests_each_prime_once_per_row():
+    # one prime q at a time decides every code insoluble and every other
+    # prime every code soluble, so a row's omega counts the times q was
+    # tested on it; finite places never reach theta_grid
     def theta_grid(rows, v):
-        calls.append((v, rows.copy()))
+        assert v == INF, v
         return CONICS.theta_grid(rows, v)
 
-    spy = dataclasses.replace(CONICS, theta_grid=theta_grid)
     S = (3, 5, INF)
-    record_set(spy, 15, S)
     smooth = np.concatenate([s[(s != 0).all(axis=1)] for s in point_slabs(2, 15)])
-    tested = dict.fromkeys(primes_up_to(15).tolist(), 0)
-    for v, rows in calls:
-        tested[v] += len(rows)
+    primes = primes_up_to(15).tolist()
+    for q in primes:
+        requested = set()
+
+        def digit_model(p):
+            requested.add(p)
+            return _verdicts_everywhere(CONICS.digit_model(p), int(p == q))
+
+        spy = dataclasses.replace(CONICS, theta_grid=theta_grid, digit_model=digit_model)
+        omegas = record_set(spy, 15, S).omegas
+        assert requested == {p for p in primes if p not in S}
         # 7 divides both 7 and 14, so a row can meet a prime twice
-        assert len(np.unique(rows, axis=0)) == len(rows), v
-        assert (rows % v == 0).any(axis=1).all() or v <= CONICS.A, v
-    divided = {p: int((smooth % p == 0).any(axis=1).sum()) for p in tested}
-    assert tested == {
-        p: len(smooth) if p <= CONICS.A else 0 if p in S else divided[p] for p in tested
-    }
+        assert omegas.max(initial=0) <= 1, q
+        divided = (smooth % q == 0).any(axis=1)
+        want = divided | (q <= CONICS.A) if q not in S else np.zeros(len(smooth), bool)
+        assert np.array_equal(omegas == 1, want), q
 
 
 def test_undecided_grid_verdicts_taint_like_the_scalar_route():
@@ -134,10 +154,11 @@ def test_undecided_grid_verdicts_taint_like_the_scalar_route():
             raise Undecided(x.coords, v)
         return CONICS.theta(x, v)
 
-    def theta_grid(rows, v):
-        return np.full(len(rows), 2, np.int8) if v == 3 else CONICS.theta_grid(rows, v)
+    def digit_model(p):
+        model = CONICS.digit_model(p)
+        return _verdicts_everywhere(model, 2) if p == 3 else model
 
-    moody = dataclasses.replace(CONICS, name="moody", theta=theta, theta_grid=theta_grid)
+    moody = dataclasses.replace(CONICS, name="moody", theta=theta, digit_model=digit_model)
     records, summary = scan(moody, 12)
     fast = record_set(moody, 12)
     assert fast.omegas.tolist() == [r.omega for r in records]
