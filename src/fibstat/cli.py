@@ -448,11 +448,10 @@ def _run_ekac(cfg: RunConfig):
 
 def _run_tau(cfg: RunConfig):
     fam = family_by_name(cfg.family)
-    # refuse a scan whose columns (omega, height, taint: 17 bytes a point) exceed physical memory
-    need = count_points(fam.n, cfg.B) * 17
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ConfigError(f"a scan at B={cfg.B} needs {need / 1e9:.1f} GB, above physical memory")
-    rs = record_set(fam, cfg.B, cfg.S)
+    try:
+        rs = record_set(fam, cfg.B, cfg.S)
+    except ValueError as exc:  # a scan whose columns exceed physical memory
+        raise ConfigError(str(exc)) from exc
     _taint_check(rs.tainted_count, rs.point_count)
     th = tau_histogram(rs)
     rows = [

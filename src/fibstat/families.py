@@ -7,25 +7,26 @@ bundles everything the statistics layer needs: the discriminant form f (the
 product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
 bad-prime bound A, the growth constant Delta (validated against the declared
 divisor actions), the scalar per-place insolubility test theta, and the
-hooks the vectorized paths run on: theta_grid (at one place, or at one
-prime per row), digit_model and an optional exact sigma_p (over an array
-of primes).  Record sets carry their descriptor, so the statistics layer
+hooks the vectorized paths run on: digit_model (at one place), theta_grid
+(at one prime per row) and an optional exact sigma_p (over an array of
+primes).  Record sets carry their descriptor, so the statistics layer
 reads every family-specific behaviour, centering included, here.
 
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
 else), counts obstructed places per point (omega), and calibrates A
-empirically.  Every finite-prime verdict and exact insoluble density reads
-the family's DigitModel: a digit per coefficient, a code per row, and a
-verdict per code (for conics from one of three digit-triple tables built
-from localsolve.conic_soluble, for cubics from one search per class).
+empirically.  Every verdict at one place, and every exact insoluble
+density, reads the family's DigitModel: a digit per coefficient, a code
+per row, and a verdict per code (conics: three digit-triple tables built
+from localsolve.conic_soluble; cubics: one search per class; INF: theta
+per sign pattern).
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
-and omega_pi turns that into a tainted record.  Exhaustive scans read
-digit_model at every finite prime; the real place, samples, density
-estimates and calibration decide through theta_grid.  The scalar theta,
-omega_pi and CubicDecider.decide are the reference tests hold them to.
+and omega_pi turns that into a tainted record.  Only the sampler's primes
+> A, one per row, bypass digit_model through theta_grid.  The scalar
+theta, omega_pi and CubicDecider.decide are the reference tests hold them
+to.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "omega_formula_conics",
     "sigma_exact",
     "sigma_empirical",
-    "conic_two_adic_density",
     "conic_sigma_formula",
     "conic_insoluble_density",
     "insoluble_density",
@@ -123,33 +123,29 @@ class FamilyDescriptor:
     some coordinate, and the real place.  Delta is the declared growth
     constant, checked at construction against the divisor action data.
 
-    theta_grid(rows, v) is theta over an (N, n+1) array of nonzero rows, as
-    int8: 0 soluble, 1 insoluble, 2 undecided.  v is one place for every
-    row, or an int64 array of primes > A, one per row, so a batch whose
-    rows obstruct at different primes is one call; it serves the real
-    place of a scan, the sampler and calibration.  digit_model(p) is the
-    DigitModel that decides the prime p; exhaustive scans read it directly,
-    on digit grids.  sigma_p, when present, gives the
-    exact local densities: it takes an int64 array of primes p > A and
-    returns int64 arrays (numerators, denominators), one exact fraction per
-    prime, not necessarily in lowest terms.
+    digit_model(v) is the DigitModel that decides the place v, a prime or
+    INF; every verdict at one place reads it.  theta_grid(rows, primes) is
+    theta over an (N, n+1) array of nonzero rows at an int64 array of
+    primes > A, one per row, as int8: 0 soluble, 1 insoluble, 2 undecided,
+    so a sampled batch whose rows obstruct at different primes is one call.
+    sigma_p, when present, gives the exact local densities: it takes an
+    int64 array of primes p > A and returns int64 arrays (numerators,
+    denominators), one exact fraction per prime, not necessarily in lowest
+    terms.
     """
 
     name: str
     n: int
-    f: HomogeneousForm
     A: int
     Delta: Fraction
     theta: Callable[[Sequence[int], Place], bool]
-    theta_grid: Callable[[np.ndarray, Place | np.ndarray], np.ndarray]
-    digit_model: Callable[[int], DigitModel]
+    theta_grid: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    digit_model: Callable[[Place], DigitModel]
     divisors: tuple[ComponentAction, ...]
     nonsplit: Optional[Callable[[Sequence[int], int], bool]] = None
     sigma_p: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
-        if self.f.monomials != ((1, (1,) * (self.n + 1)),):
-            raise ValueError("discriminant form must be the product of the coordinates")
         if self.A < 2:
             raise ValueError("bad-prime bound must be at least 2")
         declared = delta_total(self.divisors)
@@ -157,6 +153,11 @@ class FamilyDescriptor:
             raise ValueError(
                 f"Delta {self.Delta} disagrees with divisor data {declared}"
             )
+
+    @property
+    def f(self) -> HomogeneousForm:
+        """The discriminant form, the product of the n+1 coordinates."""
+        return HomogeneousForm(self.n + 1, self.n + 1, ((1, (1,) * (self.n + 1)),))
 
     def smooth(self, x) -> bool:
         """Is the fibre over x smooth?  f(x) != 0, i.e. no zero coordinate."""
@@ -195,10 +196,6 @@ def _conic_theta(x, place: Place) -> bool:
     return not conic_soluble(a, b, c, place)
 
 
-def _conic_theta_grid(rows: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
-    return conic_insoluble_grid(rows, place).view(np.int8)
-
-
 def _conic_nonsplit(res: Sequence[int], p: int) -> bool:
     """Is the conic fibre over (a:b:c) in P^2(F_p) non-split?  p odd.
 
@@ -229,15 +226,13 @@ def _conic_nonsplit(res: Sequence[int], p: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def diagonal_conics() -> FamilyDescriptor:
     """The family a x^2 + b y^2 = c z^2 over the coefficient plane."""
-    f = HomogeneousForm(3, 3, ((1, (1, 1, 1)),))
     return FamilyDescriptor(
         name="diagonal_conics",
         n=2,
-        f=f,
         A=2,
         Delta=Fraction(3, 2),
         theta=_conic_theta,
-        theta_grid=_conic_theta_grid,
+        theta_grid=lambda rows, primes: conic_insoluble_grid(rows, primes).view(np.int8),
         digit_model=_conic_model,
         divisors=tuple(load_bundled_actions("conic_action.txt").values()),
         nonsplit=_conic_nonsplit,
@@ -269,14 +264,14 @@ def _strip(col: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DigitModel:
-    """How a family decides one finite prime p.
+    """How a family decides one place v, a prime p or INF.
 
     digits maps nonzero int64 values to digits below base, and a row's code
     weights coordinate i's digit by base**i.  verdicts maps an integer
     array of codes, of any shape, to int8 of that shape: 0 soluble,
-    1 insoluble, 2 undecided.  masses[d] is the exact Haar mass
-    of the values in Z_p with digit d.  A digit reads margin p-adic digits
-    of the unit part.
+    1 insoluble, 2 undecided.  masses[d] is the exact Haar mass of the
+    values in Z_p with digit d, and a digit reads margin p-adic digits of
+    the unit part; at INF the digit is the sign (_sign_model).
     """
 
     base: int
@@ -299,11 +294,11 @@ def _digit_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray],
     coordinate, when 2m + 1 is at most the row count; wider rows get the
     digits of each coordinate column.  A zero entry raises ValueError.
     """
+    if not coeffs.all():
+        raise ValueError("zero entry has no digit")
     m = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
     if 2 * m + 1 > len(coeffs):
         return _column_codes(coeffs, digits, base)
-    if not coeffs.all():
-        raise ValueError("zero entry has no p-adic valuation")
     # position v holds value v, so a negative entry reads from the end
     values = np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
     values[0] = 1  # stands in for 0, which no row holds
@@ -320,6 +315,20 @@ def _column_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray]
     for i in range(1, coeffs.shape[1]):
         codes += digits(coeffs[:, i]) * base**i
     return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_model(theta: Callable[[Sequence[int], Place], bool], n: int) -> DigitModel:
+    """The DigitModel of the real place for a family with n+1 coordinates.
+
+    A value's digit is 1 when it is negative.  Real solubility reads only
+    the signs, so each of the 2^(n+1) sign patterns gets theta's verdict at
+    INF on its row of +-1.
+    """
+    # product() runs its last factor fastest, so reversed rows are in code order
+    rows = itertools.product((1, -1), repeat=n + 1)
+    table = np.array([theta(row[::-1], INF) for row in rows], np.int8)
+    return DigitModel(2, lambda v: (v < 0).astype(np.int64), table.take, (Fraction(1, 2),) * 2, 0)
 
 
 def _squares(p: int) -> np.ndarray:
@@ -372,7 +381,9 @@ def _conic_verdicts(p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _conic_model(p: int) -> DigitModel:
+def _conic_model(p: Place) -> DigitModel:
+    if p == INF:
+        return _sign_model(_conic_theta, 2)
     # a valuation is even with mass p/(p+1), odd with 1/(p+1); the unit part
     # is uniform on k classes: its residue symbol at odd p, mod 8 at p = 2
     k = 4 if p == 2 else 2
@@ -386,24 +397,19 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
     """Vectorized theta for the conic family: a boolean per coefficient row.
 
     coeffs is an (N, 3) integer array with no zero entries (a zero raises
-    ValueError at a finite place).  place is INF, a prime, or an int64
-    array of N odd primes, one per row.  At a finite place a row packs
-    its three digits (_conic_digits) into a code, and the code reads its
-    verdict from the table for p = 2 or p mod 4 (_conic_verdicts).  At one
-    prime that is _conic_model(p).grid, where rows bounded by m with
-    2m + 1 at most N read their digits from a table over [-m, m]
-    (_digit_codes); other rows, and rows with a prime each, strip every
-    entry.  Agrees with the scalar Hilbert-symbol route entry by entry.
+    ValueError).  place is INF, a prime, or an int64 array of N odd primes,
+    one per row.  At one place this is _conic_model(place).grid.  At a
+    prime a row packs its three digits (_conic_digits) into a code, and the
+    code reads its verdict from the table for p = 2 or p mod 4
+    (_conic_verdicts); at INF the digits are signs.  Agrees with the
+    scalar Hilbert-symbol route entry by entry.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if np.ndim(place):
         p = np.asarray(place, dtype=np.int64)
         codes = _column_codes(coeffs, lambda col: _conic_digits(col, p), 4)
         return np.where(p % 4 == 1, _conic_verdicts(5)[codes], _conic_verdicts(3)[codes])
-    if place == INF:
-        a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-        return ((a > 0) & (b > 0) & (c < 0)) | ((a < 0) & (b < 0) & (c > 0))
-    return _conic_model(int(place)).grid(coeffs).view(bool)
+    return _conic_model(place if place == INF else int(place)).grid(coeffs).view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +627,14 @@ def _cubic_theta(x, place: Place) -> bool:
     return verdict is Solubility.INSOLUBLE
 
 
-def _cubic_theta_grid(rows: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
-    if np.ndim(place):
-        # one prime per row: one cached decider call per distinct prime
-        out = np.empty(len(rows), np.int8)
-        order = np.argsort(place, kind="stable")
-        primes, starts = np.unique(place[order], return_index=True)
-        for p, sel in zip(primes.tolist(), np.split(order, starts[1:])):
-            out[sel] = _cubic_decider(p).decide_grid(rows[sel])
-        return out
-    if place == INF:
-        return np.zeros(len(rows), np.int8)
-    return _cubic_decider(int(place)).decide_grid(rows)
+def _cubic_theta_grid(rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    # one cached decider call per distinct prime
+    out = np.empty(len(rows), np.int8)
+    order = np.argsort(primes, kind="stable")
+    distinct, starts = np.unique(primes[order], return_index=True)
+    for p, sel in zip(distinct.tolist(), np.split(order, starts[1:])):
+        out[sel] = _cubic_decider(p).decide_grid(rows[sel])
+    return out
 
 
 def _pseudo_split_divisor() -> ComponentAction:
@@ -645,12 +647,11 @@ def diagonal_cubics() -> FamilyDescriptor:
     return FamilyDescriptor(
         name="diagonal_cubics",
         n=3,
-        f=HomogeneousForm(4, 4, ((1, (1, 1, 1, 1)),)),
         A=3,
         Delta=Fraction(0),
         theta=_cubic_theta,
         theta_grid=_cubic_theta_grid,
-        digit_model=lambda p: _cubic_decider(p).model,
+        digit_model=lambda v: _sign_model(_cubic_theta, 3) if v == INF else _cubic_decider(v).model,
         divisors=tuple(_pseudo_split_divisor() for _ in range(4)),
     )
 
@@ -780,7 +781,7 @@ def sigma_empirical(
     to the full depth, or with valuation above depth - digit_model(p).margin,
     too shallow to pin the unit class) counts as unknown, as does an
     undecided verdict; unknowns are reported separately and not folded into
-    the value.  The remaining disks are decided by one theta_grid call.
+    the value.  The remaining disks are decided by digit_model(p).grid.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
@@ -800,10 +801,11 @@ def sigma_empirical(
         rows = np.concatenate([rows, batch.astype(np.int64)])
     rows = rows[:sample_size]
 
+    model = family.digit_model(p)
     # valuation(v) <= depth - margin, and v != 0, iff p^(depth - margin + 1) does not divide v
-    stable = p ** max(0, precision_depth - family.digit_model(p).margin + 1)
+    stable = p ** max(0, precision_depth - model.margin + 1)
     decided = rows[(rows % stable != 0).all(axis=1)]
-    verdicts = family.theta_grid(decided, p)
+    verdicts = model.grid(decided)
     insoluble = int((verdicts == 1).sum())
     unknown = sample_size - len(decided) + int((verdicts == 2).sum())
     q = insoluble / sample_size
@@ -871,12 +873,6 @@ def conic_insoluble_density(p: int) -> Fraction:
     return insoluble_density(diagonal_conics(), p)
 
 
-def conic_two_adic_density() -> Fraction:
-    """Exact density of 2-adically insoluble disks for the conic family:
-    conic_insoluble_density(2), which is 5/12."""
-    return conic_insoluble_density(2)
-
-
 # ---------------------------------------------------------------------------
 # calibration of the bad-prime bound A
 
@@ -917,9 +913,9 @@ def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> Calibration
 
     Exhaustive over all points of P^n(Q) with height <= B_cal.  A prime
     whose unit-digit codes are all soluble cannot obstruct a row coprime
-    to it and is skipped; each other prime is decided by one theta_grid
-    call on each slab's rows coprime to p.  The result reports every
-    exception found (all at primes <= A).
+    to it and is skipped; each other prime is decided by digit_model(p).grid
+    on each slab's rows coprime to p.  The result reports every exception
+    found (all at primes <= A).
     """
     if p_max < 2 or B_cal < 1:
         raise ValueError("need p_max >= 2 and B_cal >= 1")
@@ -936,7 +932,7 @@ def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> Calibration
             cand = rows[(rows % p != 0).all(axis=1)]
             if len(cand) == 0:
                 continue
-            verdicts = family.theta_grid(cand, p)
+            verdicts = family.digit_model(p).grid(cand)
             bad_rows = cand[verdicts == 1]
             und_rows = cand[verdicts == 2]
             if len(und_rows) and p not in undecided:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -206,19 +207,20 @@ def scan(family: FamilyDescriptor, B: int, S=(INF,)):
     return records, ScanSummary(points, singular, tainted)
 
 
-class _FiniteGrids:
-    """omega and taint at the primes outside S, as grids over the tail grid.
+class _PlaceGrids:
+    """omega and taint at the places outside S, as grids over the tail grid.
 
     Position t of the tail grid [-B, B]^n (index k on an axis holds k - B)
-    stands for the row (a, t) of a lead a.  Each prime p <= max(A, B)
-    outside S reads family.digit_model(p), with digits computed once over
-    [-B, B] (0, which no row holds, reads as 1) and over the leads 1..B; a
-    position's code is a broadcast sum of per-axis digits.  A prime p <= A,
-    or p | a, is decided on the whole grid.  Otherwise p can only obstruct
-    on the hyperplanes p | t_i, each the strided slice B % p :: p of axis
-    i, and counts at the first axis whose entry it divides.  The verdicts
-    depend on a only through its digit and whether p | a, so they are kept
-    per prime and (digit, whole grid).
+    stands for the row (a, t) of a lead a.  Each prime p <= max(A, B) and
+    the real place, outside S, read family.digit_model, with digits
+    computed once over [-B, B] (0, which no row holds, reads as 1) and over
+    the leads 1..B; a position's code is a broadcast sum of per-axis
+    digits.  The real place, a prime p <= A, or p | a, is decided on the
+    whole grid.  Otherwise p can only obstruct on the hyperplanes p | t_i,
+    each the strided slice B % p :: p of axis i, and counts at the first
+    axis whose entry it divides.  The verdicts depend on a only through its
+    digit and whether p | a, so they are kept per place and (digit, whole
+    grid); every lead is positive, so the real place is decided once.
     """
 
     def __init__(self, family: FamilyDescriptor, B: int, S: tuple):
@@ -226,8 +228,8 @@ class _FiniteGrids:
         self.A, self.B, self.shape = family.A, B, (2 * B + 1,) * n
         side = np.arange(-B, B + 1)
         side[B] = 1
-        self.primes = []
-        for p in primes_up_to(max(family.A, B)).tolist():
+        self.places = []
+        for p in [*primes_up_to(max(family.A, B)).tolist(), INF]:
             if p not in S:
                 model = family.digit_model(p)
                 width = np.min_scalar_type(model.base ** (n + 1) - 1)
@@ -237,7 +239,7 @@ class _FiniteGrids:
                     for i in range(n)
                 ]
                 leads = model.digits(np.arange(1, B + 1)).astype(width)
-                self.primes.append((p, model, terms, leads, {}))
+                self.places.append((p, model, terms, leads, {}))
 
     def _parts(self, p, model, terms, digit, whole):
         # (grid index, insoluble mask, undecided mask) per decided region,
@@ -263,8 +265,8 @@ class _FiniteGrids:
         """(omega as uint8, taint) grids of the rows with lead a."""
         omega = np.zeros(self.shape, np.uint8)
         taint = np.zeros(self.shape, bool)
-        for p, model, terms, leads, kept in self.primes:
-            key = int(leads[a - 1]), p <= self.A or a % p == 0
+        for p, model, terms, leads, kept in self.places:
+            key = int(leads[a - 1]), p <= self.A or p == INF or a % p == 0
             if key not in kept:
                 kept[key] = self._parts(p, model, terms, *key)
             for at, insoluble, undecided in kept[key]:
@@ -281,27 +283,28 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     Walks the leads and masks of projective.lead_masks, which point_slabs
     is built on.  A point with a leading zero is singular; for a lead a,
     the rows are the coprime positions with no zero entry, in point_slabs
-    order, and the other coprime positions are singular.  The primes
-    (only those <= B can divide a coordinate) are decided on the grid
-    through their digit_model (_FiniteGrids), the real place, unless in S,
-    by one theta_grid call on the lead's rows.  The columns are allocated
-    once for all count_points(n, B) points, filled lead by lead and
-    returned as views of the rows filled, so no column is held twice.
+    order, and the other coprime positions are singular.  The places
+    outside S (the real place, and the primes: only those <= B can divide
+    a coordinate) are decided on the grid through their digit_model
+    (_PlaceGrids).  The columns are allocated once for all count_points(n, B)
+    points, filled lead by lead and returned as views of the rows filled,
+    so no column is held twice; columns above physical memory raise
+    ValueError before anything is allocated.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     S = tuple(S)
     n = family.n
-    finite = _FiniteGrids(family, B, S)
     size = count_points(n, B)
-    omegas = np.empty(size, np.int64)
-    heights = np.empty(size, np.int64)
-    tainted = np.empty(size, bool)
+    columns = (np.int64, np.int64, bool)  # omegas, heights, tainted
+    need = size * sum(np.dtype(t).itemsize for t in columns)
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"a scan at B={B} needs {need / 1e9:.1f} GB, above physical memory")
+    places = _PlaceGrids(family, B, S)
+    omegas, heights, tainted = (np.empty(size, t) for t in columns)
     axes = np.ix_(*[np.arange(-B, B + 1, dtype=np.min_scalar_type(-B - 1))] * n)
     nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in axes])
     tail_height = functools.reduce(np.maximum, map(np.abs, axes)).ravel()
-    # each axis's value at every position, for the real place's rows
-    coords = [np.broadcast_to(ax, finite.shape).ravel() for ax in axes] if INF not in S else []
     filled = singular = 0
     for zeros, lead, mask in lead_masks(n, B):
         points = int(np.count_nonzero(mask))
@@ -309,19 +312,11 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
         singular += points - len(idx)
         if not len(idx):
             continue
-        omega, taint = finite.lead(lead)
+        omega, taint = places.lead(lead)
         end = filled + len(idx)
         omegas[filled:end] = omega.ravel()[idx]
         tainted[filled:end] = taint.ravel()[idx]
         heights[filled:end] = np.maximum(tail_height[idx], lead)
-        if coords:
-            rows = np.empty((len(idx), n + 1), np.int64)
-            rows[:, 0] = lead
-            for i, col in enumerate(coords, 1):
-                rows[:, i] = col[idx]
-            verdicts = family.theta_grid(rows, INF)
-            omegas[filled:end] += verdicts == 1
-            tainted[filled:end] |= verdicts == 2
         filled = end
     return RecordSet(
         family, B, S, omegas[:filled], heights[:filled], tainted[:filled], singular
@@ -370,12 +365,13 @@ _INSOLUBLE_MASK = (1 << 32) - 1
 
 
 def _sample_block(family, rows, S):
-    """omega and taint of a block of sampled rows, from the theta_grid hook.
+    """omega and taint of a block of sampled rows.
 
     The primes <= A and the real place, unless in S, are tested on every
-    row.  The primes > A dividing some coordinate come from one
-    prime_support lookup, deduplicated per row, with the primes in S
-    dropped; they are decided by one array-place theta_grid call.
+    row through their digit_model.  The primes > A dividing some coordinate
+    come from one prime_support lookup, deduplicated per row, with the
+    primes in S dropped; they are decided by one theta_grid call, one prime
+    per row.
     """
     index, prime = prime_support(rows)
     row = index // rows.shape[1]
@@ -388,7 +384,7 @@ def _sample_block(family, rows, S):
     tally = np.zeros(len(rows), np.int64)
     for v in [*primes_up_to(family.A).tolist(), INF]:
         if v not in S:
-            tally += _TALLY[family.theta_grid(rows, v)]
+            tally += _TALLY[family.digit_model(v).grid(rows)]
     row = row[keep]
     np.add.at(tally, row, _TALLY[family.theta_grid(rows[row], prime[keep])])
     return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -340,11 +341,20 @@ def test_malformed_thread_environment_is_config_error(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def _run_child(*argv):
+    # a child interpreter importing the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_module_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fibstat", "hilbert", "--conic", "1", "1", "21",
-         "--place", "3", "--output", str(tmp_path / "m")],
-        capture_output=True, text=True,
+    proc = _run_child(
+        "-m", "fibstat", "hilbert", "--conic", "1", "1", "21",
+        "--place", "3", "--output", str(tmp_path / "m"),
     )
     assert proc.returncode == 0
     assert "insoluble" in proc.stdout
@@ -352,11 +362,7 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats alone takes most of an interpreter's set-up time
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fibstat.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+    proc = _run_child("-c", "import sys, fibstat.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -18,7 +18,6 @@ from fibstat.families import (
     calibrate_A,
     conic_insoluble_density,
     conic_insoluble_grid,
-    conic_two_adic_density,
     cube_class,
     diagonal_conics,
     diagonal_cubics,
@@ -79,13 +78,6 @@ def test_descriptor_rejects_inconsistent_delta():
     fam = diagonal_conics()
     with pytest.raises(ValueError, match="disagrees"):
         dataclasses.replace(fam, name="broken", Delta=Fraction(1))
-
-
-def test_descriptor_rejects_non_product_f():
-    fam = diagonal_conics()
-    for f in (HomogeneousForm(3, 3, ((2, (1, 1, 1)),)), HomogeneousForm.diagonal((1, 1, 1), 3)):
-        with pytest.raises(ValueError, match="product of the coordinates"):
-            dataclasses.replace(fam, f=f)
 
 
 def test_renamed_family_gives_identical_results():
@@ -446,7 +438,7 @@ def test_sigma_empirical_rejections():
 
 
 def test_two_adic_density_exact_value_and_mc_cross_check():
-    d = conic_two_adic_density()
+    d = conic_insoluble_density(2)
     assert d == Fraction(5, 12)
     est = sigma_empirical(diagonal_conics(), 2, 20_000, 14, seed=11)
     assert abs(est.value - float(d)) <= 3 * est.standard_error
@@ -612,31 +604,56 @@ def test_cube_class_table_matches_scalar():
         assert [int(table[u % mod]) for u in units] == [cube_class(u, p) for u in units]
 
 
+def _scalar_verdicts(fam, rows, places):
+    # theta per row at its place, as the grids' int8: 2 for undecided
+    out = []
+    for row, place in zip(rows.tolist(), places):
+        try:
+            out.append(int(fam.theta(row, place)))
+        except Undecided:
+            out.append(2)
+    return out
+
+
 @pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
 def test_theta_grid_matches_scalar_theta(fam):
     rng = np.random.default_rng(21)
     rows = rng.integers(-60, 61, size=(120, fam.n + 1))
     rows = rows[(rows != 0).all(axis=1)]
-    # one prime > A per row, dividing a coordinate where the row has one
+    for v in (2, 3, 5, 7, 13, INF):
+        grid = fam.digit_model(v).grid(rows)
+        assert grid.dtype == np.int8
+        assert grid.tolist() == _scalar_verdicts(fam, rows, [v] * len(rows)), v
+    # theta_grid: one prime > A per row, dividing a coordinate where the row has one
     per_row = []
     for row in rows.tolist():
         divs = sorted({q for x in row for q in factorize(x) if q > fam.A})
         per_row.append(divs[len(per_row) % len(divs)] if divs else 7)
-    for v in (2, 3, 5, 7, 13, INF, np.array(per_row, np.int64)):
-        grid = fam.theta_grid(rows, v)
-        assert grid.dtype == np.int8
-        places = v.tolist() if np.ndim(v) else [v] * len(rows)
-        for row, place, g in zip(rows.tolist(), places, grid.tolist()):
-            try:
-                want = int(fam.theta(row, place))
-            except Undecided:
-                want = 2
-            assert g == want, (row, place)
+    grid = fam.theta_grid(rows, np.array(per_row, np.int64))
+    assert grid.dtype == np.int8
+    assert grid.tolist() == _scalar_verdicts(fam, rows, per_row)
+
+
+@pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
+def test_real_place_model_reads_theta_on_every_sign_pattern(fam):
+    model = fam.digit_model(INF)
+    assert (model.base, model.masses, model.margin) == (2, (Fraction(1, 2),) * 2, 0)
+    signs = np.array(list(itertools.product((1, -1), repeat=fam.n + 1)))
+    codes = (signs < 0) @ 2 ** np.arange(fam.n + 1)
+    assert sorted(codes.tolist()) == list(range(2 ** (fam.n + 1)))
+    # magnitudes do not matter, only signs
+    rows = signs * np.arange(1, fam.n + 2) * 7
+    want = _scalar_verdicts(fam, rows, [INF] * len(rows))
+    assert model.verdicts(codes).tolist() == want
+    assert model.grid(rows).tolist() == want
+    with pytest.raises(ValueError):
+        model.grid(np.array([[1] * fam.n + [0]]))
 
 
 def test_grids_reject_zero_entries():
-    with pytest.raises(ValueError):
-        conic_insoluble_grid(np.array([[1, 0, 3]]), 5)
+    for place in (5, INF):
+        with pytest.raises(ValueError):
+            conic_insoluble_grid(np.array([[1, 0, 3]]), place)
     with pytest.raises(ValueError):
         CubicDecider(5).decide_grid(np.array([[1, 0, 2, 3]]))
 

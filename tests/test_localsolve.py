@@ -215,6 +215,46 @@ def test_is_prime_raises_past_its_proven_bound():
             is_prime(n)
 
 
+_PROVEN_BOUND = 318_665_857_834_031_151_167_461
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2**10, 2**26).map(sympy.nextprime), st.sampled_from([2, 3]), st.booleans())
+def test_factorize_prime_powers_match_sympy(p, k, negate):
+    # squares and cubes above the smallest-prime-factor table reach rho;
+    # cubes of primes up to 2^26 stay below is_prime's proven bound
+    n = (-1) ** negate * p**k
+    assert factorize(n) == sympy.factorint(abs(n)) == {p: k}
+    assert not is_prime(abs(n))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(2**31 - 2**24, 2**31 + 2**24).map(sympy.nextprime),
+       st.integers(2**31 - 2**24, 2**31 + 2**24).map(sympy.nextprime))
+def test_factorize_products_of_two_primes_near_2_31_match_sympy(p, q):
+    # about 0.2 s of rho each, hence the few examples
+    n = p * q
+    assert factorize(n) == sympy.factorint(n)
+    assert not is_prime(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(2**64, _PROVEN_BOUND - 1),
+                 st.integers(2**64, _PROVEN_BOUND >> 1).map(sympy.nextprime)))
+def test_is_prime_matches_sympy_above_2_64(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2**64, (_PROVEN_BOUND >> 12) - 2**20).map(sympy.nextprime),
+       st.integers(1, 2**12))
+def test_factorize_above_2_64_matches_sympy(p, m):
+    # a prime above 2^64 times a cofactor up to 2^12
+    n = p * m
+    assert is_prime(p) and n < _PROVEN_BOUND
+    assert factorize(n) == sympy.factorint(n)
+
+
 # ---------------------------------------------------------------------------
 # hilbert symbol
 

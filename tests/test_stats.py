@@ -92,9 +92,10 @@ def test_vectorized_conic_route_matches_scalar():
 
 def test_vectorized_cubic_route_matches_scalar():
     # B = 9 is the least bound with a cubic obstruction (at 3, through the
-    # coefficient 9), so leaving 3 out changes the counts
+    # coefficient 9), so leaving 3 out changes the counts; with S = () the
+    # real place goes through the scan and never obstructs
     obstructed = []
-    for S in ((INF,), (3,)):
+    for S in ((INF,), (3,), ()):
         records, summary = scan(CUBICS, 9, S)
         via_scan = RecordSet.from_records(records, CUBICS, 9, S, summary.singular_count)
         fast = record_set(CUBICS, 9, S)
@@ -102,6 +103,7 @@ def test_vectorized_cubic_route_matches_scalar():
         assert fast.tainted_count == 0
         obstructed.append(int(fast.omegas.sum()))
     assert obstructed[0] > obstructed[1]
+    assert obstructed[2] == obstructed[0]
 
 
 def test_record_set_drops_primes_of_s_from_the_table():
@@ -123,10 +125,9 @@ def _verdicts_everywhere(model, verdict):
 def test_record_set_tests_each_prime_once_per_row():
     # one prime q at a time decides every code insoluble and every other
     # prime every code soluble, so a row's omega counts the times q was
-    # tested on it; finite places never reach theta_grid
+    # tested on it; the scan never calls theta_grid
     def theta_grid(rows, v):
-        assert v == INF, v
-        return CONICS.theta_grid(rows, v)
+        raise AssertionError(f"theta_grid called at {v}")
 
     S = (3, 5, INF)
     smooth = np.concatenate([s[(s != 0).all(axis=1)] for s in point_slabs(2, 15)])
@@ -146,6 +147,9 @@ def test_record_set_tests_each_prime_once_per_row():
         divided = (smooth % q == 0).any(axis=1)
         want = divided | (q <= CONICS.A) if q not in S else np.zeros(len(smooth), bool)
         assert np.array_equal(omegas == 1, want), q
+    # nor with the real place outside S
+    quiet = dataclasses.replace(CONICS, theta_grid=theta_grid)
+    _assert_same_columns(record_set(CONICS, 15, ()), record_set(quiet, 15, ()))
 
 
 def test_undecided_grid_verdicts_taint_like_the_scalar_route():
@@ -172,6 +176,13 @@ def test_record_set_partition():
     assert rs.point_count == len(rs.omegas) + rs.singular_count
     assert rs.untainted_count + rs.tainted_count == len(rs.omegas)
     assert rs.summary() == ScanSummary(rs.point_count, rs.singular_count, 0)
+
+
+def test_record_set_refuses_columns_above_physical_memory():
+    # count_points(3, 200) rows take about 203 GB of columns; the check
+    # comes before any allocation
+    with pytest.raises(ValueError, match="physical memory"):
+        record_set(CUBICS, 200)
 
 
 def test_truncate_height():
