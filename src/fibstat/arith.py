@@ -3,12 +3,14 @@
 Sieves, factorization, Moebius values and deterministic primality for the
 word-sized integers the rest of the library throws around.  Everything here
 returns plain Python ints (or numpy arrays where documented); nothing is
-probabilistic.
+probabilistic.  check_fits_in_memory is the one guard that refuses arrays
+above physical memory before they are allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "jacobi",
     "is_prime",
     "valuation",
+    "check_fits_in_memory",
 ]
 
 
@@ -274,3 +277,9 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def check_fits_in_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError when nbytes of arrays for `what` exceed physical memory."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"{what} needs {nbytes / 1e9:.1f} GB, above physical memory")

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ from .grouptheory import bundled_document, delta, delta_total, parse_action_docu
 from .localsolve import INF, Place, conic_soluble, hilbert
 from .projective import count_points, enumerate_points
 from .stats import (
+    CENTERINGS,
     MomentReport,
     TauHistogram,
     TauPrediction,
@@ -53,7 +54,6 @@ __all__ = ["RunConfig", "main", "run", "read_report", "ConfigError"]
 
 VERSION_TAG = "fibstat v1"
 RNG_IDENTITY = "numpy PCG64 (default_rng)"
-COMMANDS = ("enumerate", "sigma", "ekac", "tau", "delta", "hilbert", "baseline")
 STATISTICAL = ("sigma", "ekac", "tau", "baseline")
 TAINT_CEILING = 0.001
 HIST_BINS = 41
@@ -78,6 +78,9 @@ class InvariantViolation(Exception):
 
 @dataclass
 class RunConfig:
+    """One run's settings.  Each command takes as flags the fields _COMMANDS
+    lists for it, plus output and format; a flag's default is its field's."""
+
     command: str
     family: str = "diagonal_conics"
     B: int = 1000
@@ -87,7 +90,6 @@ class RunConfig:
     seed: int = 0
     output: str = "fibstat_run"
     format: str = "csv"
-    # command-specific extras
     sample_size: int = 60_000
     centering: str = "empirical"
     prime_cutoff: int = 100
@@ -105,18 +107,18 @@ class RunConfig:
             raise ConfigError(f"r_max must be in 0..12, got {self.r_max}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {self.format!r}")
         if self.sample_size < 1:
             raise ConfigError("sample size must be positive")
-        if self.centering not in ("paper", "empirical"):
+        if self.centering not in CENTERINGS:
             raise ConfigError(f"unknown centering {self.centering!r}")
         if self.command == "tau" and self.prime_cutoff < 2:
             raise ConfigError(f"prime cutoff must be at least 2, got {self.prime_cutoff}")
         # the KS distance needs 100 usable integers, and baseline starts at m = 3
         if self.command == "baseline" and self.B < 102:
             raise ConfigError(f"baseline needs B >= 102, got {self.B}")
-        if self.command in ("enumerate", "sigma", "ekac", "tau"):
+        if "family" in _COMMANDS[self.command][1]:
             try:
                 family_by_name(self.family)
             except (KeyError, ValueError) as exc:
@@ -128,31 +130,18 @@ class RunConfig:
                 raise ConfigError("hilbert needs --place")
 
     def as_dict(self) -> dict:
-        """JSON-able canonical form (places rendered as strings)."""
-        def render_place(v):
-            return "inf" if v == INF else str(int(v))
-
-        d = {
-            "command": self.command,
-            "family": self.family,
-            "B": self.B,
-            "S": [render_place(v) for v in self.S],
-            "r_max": self.r_max,
-            "threads": self.threads,
-            "seed": self.seed,
-            "output": self.output,
-            "format": self.format,
-            "sample_size": self.sample_size,
-            "centering": self.centering,
-            "prime_cutoff": self.prime_cutoff,
-            "input": self.input,
-        }
-        if self.conic is not None:
-            d["conic"] = list(self.conic)
-        if self.symbol is not None:
-            d["symbol"] = list(self.symbol)
-        if self.place is not None:
-            d["place"] = render_place(self.place)
+        """JSON-able canonical form: every field, places rendered as strings,
+        and hilbert's query (conic, symbol, place) only where set."""
+        d = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.name in _COMMANDS["hilbert"][1]:
+                continue
+            if f.name == "S":
+                v = [_render_place(p) for p in v]
+            elif f.name == "place":
+                v = _render_place(v)
+            d[f.name] = list(v) if isinstance(v, tuple) else v
         return d
 
     def content_hash(self) -> str:
@@ -161,6 +150,10 @@ class RunConfig:
         del d["threads"]
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _render_place(v: Place) -> str:
+    return "inf" if v == INF else str(int(v))
 
 
 def _parse_place(token: str) -> Place:
@@ -218,6 +211,10 @@ def _json_text(command: str, meta: dict, header: Sequence[str], rows) -> str:
         "rows": [[_format_cell(v) for v in row] for row in rows],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_WRITERS = {"csv": _csv_text, "json": _json_text}
+FORMATS = tuple(_WRITERS)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +414,12 @@ def _run_ekac(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     if fam.Delta == 0:
         raise ConfigError("ekac needs Delta > 0 (tau covers the discrete law)")
-    rs = sample_records(
-        fam, cfg.B, cfg.sample_size, cfg.seed, S=cfg.S, threads=cfg.threads
-    )
+    try:
+        rs = sample_records(
+            fam, cfg.B, cfg.sample_size, cfg.seed, S=cfg.S, threads=cfg.threads
+        )
+    except ValueError as exc:  # a sample whose arrays exceed physical memory
+        raise ConfigError(str(exc)) from exc
     _taint_check(rs.tainted_count, len(rs.omegas))
     rows = _moment_rows(rs, cfg, fam.Delta)
     ks = gaussian_distance(rs, fam.Delta, centering=cfg.centering)
@@ -476,7 +476,10 @@ def _run_tau(cfg: RunConfig):
         f"tau({j}) = {th.counts[j]}/{th.point_count}" for j in sorted(th.counts)
     ]
     if fam.Delta == 0:
-        table = cubic_density_table(cfg.prime_cutoff, cfg.sample_size, seed=cfg.seed)
+        try:
+            table = cubic_density_table(cfg.prime_cutoff, cfg.sample_size, seed=cfg.seed)
+        except ValueError as exc:  # disk samples whose arrays exceed physical memory
+            raise ConfigError(str(exc)) from exc
         for j in range(4):
             pred = tau_limit_prediction(fam, j, cfg.prime_cutoff, table)
             rows.append(("prediction", j, pred.value, pred.std_error, pred.tail_bound))
@@ -513,7 +516,7 @@ def _run_delta(cfg: RunConfig):
 
 
 def _run_hilbert(cfg: RunConfig):
-    place_str = "inf" if cfg.place == INF else str(int(cfg.place))
+    place_str = _render_place(cfg.place)
     rows = []
     if cfg.symbol is not None:
         a, b = cfg.symbol
@@ -551,14 +554,40 @@ def _run_baseline(cfg: RunConfig):
     return meta, ["row", "key", "value", "aux1", "aux2"], rows, results, out
 
 
-_RUNNERS = {
-    "enumerate": _run_enumerate,
-    "sigma": _run_sigma,
-    "ekac": _run_ekac,
-    "tau": _run_tau,
-    "delta": _run_delta,
-    "hilbert": _run_hilbert,
-    "baseline": _run_baseline,
+# each command's runner and the RunConfig fields it takes as flags; every
+# command also takes --output and --format
+_COMMANDS = {
+    "enumerate": (_run_enumerate, ("family", "B")),
+    "sigma": (_run_sigma, ("family", "B")),
+    "ekac": (
+        _run_ekac,
+        ("family", "B", "S", "r_max", "threads", "seed", "sample_size", "centering"),
+    ),
+    "tau": (_run_tau, ("family", "B", "S", "seed", "sample_size", "prime_cutoff")),
+    "delta": (_run_delta, ("input",)),
+    "hilbert": (_run_hilbert, ("conic", "symbol", "place")),
+    "baseline": (_run_baseline, ("B", "r_max", "centering")),
+}
+COMMANDS = tuple(_COMMANDS)
+
+# argparse keywords of each field's flag, --name with "_" spelled "-"; the
+# defaults are RunConfig's
+_FLAGS = {
+    "family": {},
+    "B": {"type": int, "help": "height bound / cutoff"},
+    "S": {"type": _parse_places, "help": "excluded places, comma list ('' for none)"},
+    "r_max": {"type": int},
+    "threads": {"type": int},
+    "seed": {"type": int},
+    "output": {},
+    "format": {"choices": FORMATS},
+    "sample_size": {"type": int},
+    "centering": {"choices": CENTERINGS},
+    "prime_cutoff": {"type": int},
+    "input": {"help": "action document path"},
+    "conic": {"type": int, "nargs": 3, "metavar": ("A", "B2", "C")},
+    "symbol": {"type": int, "nargs": 2, "metavar": ("A", "B2")},
+    "place": {"type": _parse_place, "help": "prime or 'inf'"},
 }
 
 
@@ -570,13 +599,9 @@ def run(cfg: RunConfig) -> tuple[int, list[str]]:
     """Validate, execute, and write artifacts.  Returns (exit code, stdout)."""
     cfg.validate()
     t0 = time.monotonic()
-    meta, header, rows, results, out = _RUNNERS[cfg.command](cfg)
-    suffix = "json" if cfg.format == "json" else "csv"
-    report_path = f"{cfg.output}.{cfg.command}.{suffix}"
-    if cfg.format == "json":
-        _atomic_write(report_path, _json_text(cfg.command, meta, header, rows))
-    else:
-        _atomic_write(report_path, _csv_text(cfg.command, meta, header, rows))
+    meta, header, rows, results, out = _COMMANDS[cfg.command][0](cfg)
+    report_path = f"{cfg.output}.{cfg.command}.{cfg.format}"
+    _atomic_write(report_path, _WRITERS[cfg.format](cfg.command, meta, header, rows))
     manifest = {
         "command": cfg.command,
         "config": cfg.as_dict(),
@@ -606,29 +631,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default_threads = int(raw_threads)
     except ValueError:
         raise ConfigError(f"FIBSTAT_THREADS must be an integer, got {raw_threads!r}") from None
-
-    def common(p):
-        p.add_argument("--family", default="diagonal_conics")
-        p.add_argument("--B", type=int, default=1000, help="height bound / cutoff")
-        p.add_argument("--S", default="inf", help="excluded places, comma list ('' for none)")
-        p.add_argument("--r-max", type=int, default=4, dest="r_max")
-        p.add_argument("--threads", type=int, default=default_threads)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default="fibstat_run")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--sample-size", type=int, default=60_000, dest="sample_size")
-        p.add_argument("--centering", choices=("paper", "empirical"), default="empirical")
-        p.add_argument("--prime-cutoff", type=int, default=100, dest="prime_cutoff")
-
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        common(p)
-        if name == "delta":
-            p.add_argument("--input", default=None, help="action document path")
-        if name == "hilbert":
-            p.add_argument("--conic", type=int, nargs=3, default=None, metavar=("A", "B2", "C"))
-            p.add_argument("--symbol", type=int, nargs=2, default=None, metavar=("A", "B2"))
-            p.add_argument("--place", default=None, help="prime or 'inf'")
+    for name, (_, settings) in _COMMANDS.items():
+        # a flag left out is left out of the namespace, so RunConfig supplies its default
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for key in (*settings, "output", "format"):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+        if "threads" in settings:
+            p.set_defaults(threads=default_threads)
     return top
 
 
@@ -640,25 +649,9 @@ def _error_record(code: int, kind: str, detail: str) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        cfg = RunConfig(
-            command=ns.command,
-            family=ns.family,
-            B=ns.B,
-            S=_parse_places(ns.S),
-            r_max=ns.r_max,
-            threads=ns.threads,
-            seed=ns.seed,
-            output=ns.output,
-            format=ns.format,
-            sample_size=ns.sample_size,
-            centering=ns.centering,
-            prime_cutoff=ns.prime_cutoff,
-            input=getattr(ns, "input", None),
-            conic=tuple(ns.conic) if getattr(ns, "conic", None) else None,
-            symbol=tuple(ns.symbol) if getattr(ns, "symbol", None) else None,
-            place=_parse_place(ns.place) if getattr(ns, "place", None) else None,
-        )
+        ns = vars(_build_parser().parse_args(argv))
+        # nargs flags parse to lists; RunConfig holds tuples
+        cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in ns.items()})
         code, out = run(cfg)
     except ConfigError as exc:
         print(_error_record(2, "config", str(exc)), file=sys.stderr)

@@ -5,8 +5,8 @@ conics a x^2 + b y^2 = c z^2 and diagonal cubic surfaces
 y_0 x_0^3 + y_1 x_1^3 + y_2 x_2^3 + y_3 x_3^3 = 0.  A FamilyDescriptor
 bundles everything the statistics layer needs: the discriminant form f (the
 product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
-bad-prime bound A, the growth constant Delta (validated against the declared
-divisor actions), the scalar per-place insolubility test theta, and the
+bad-prime bound A, the divisor actions and the growth constant Delta summed
+from them, the scalar per-place insolubility test theta, and the
 hooks the vectorized paths run on: digit_model (at one place), theta_grid
 (at one prime per row) and an optional exact sigma_p (over an array of
 primes).  Record sets carry their descriptor, so the statistics layer
@@ -34,13 +34,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, is_prime, jacobi, primes_up_to, valuation
+from .arith import check_fits_in_memory, factorize, is_prime, jacobi, primes_up_to, valuation
 from .grouptheory import ComponentAction, delta_total, load_bundled_actions
 from .localsolve import (
     INF,
@@ -120,8 +120,9 @@ class FamilyDescriptor:
     f is the discriminant form, the product of the coordinates: away from
     f = 0 (and primes <= A) fibres are everywhere locally soluble, so the
     places that can obstruct at x are the primes <= A, the primes dividing
-    some coordinate, and the real place.  Delta is the declared growth
-    constant, checked at construction against the divisor action data.
+    some coordinate, and the real place.  The growth constant Delta is
+    delta_total(divisors); a divisor whose delta is 1 adds nothing to it and
+    may be left out, so the cubics list none.
 
     digit_model(v) is the DigitModel that decides the place v, a prime or
     INF; every verdict at one place reads it.  theta_grid(rows, primes) is
@@ -137,7 +138,6 @@ class FamilyDescriptor:
     name: str
     n: int
     A: int
-    Delta: Fraction
     theta: Callable[[Sequence[int], Place], bool]
     theta_grid: Callable[[np.ndarray, np.ndarray], np.ndarray]
     digit_model: Callable[[Place], DigitModel]
@@ -148,11 +148,11 @@ class FamilyDescriptor:
     def __post_init__(self):
         if self.A < 2:
             raise ValueError("bad-prime bound must be at least 2")
-        declared = delta_total(self.divisors)
-        if declared != self.Delta:
-            raise ValueError(
-                f"Delta {self.Delta} disagrees with divisor data {declared}"
-            )
+
+    @property
+    def Delta(self) -> Fraction:
+        """The growth constant, the sum of 1 - delta over the divisor actions."""
+        return delta_total(self.divisors)
 
     @property
     def f(self) -> HomogeneousForm:
@@ -169,8 +169,7 @@ class SigmaTable:
     """Local densities sigma_p with their partial sums along cutoffs.
 
     entries maps p to an exact Fraction (residue classification) or a float
-    estimate; estimate_samples records the sample count behind any
-    non-exact entry.  partial_sums[B] = sum of sigma_p over p <= B, and
+    estimate.  partial_sums[B] = sum of sigma_p over p <= B, and
     beta_fit is the fitted constant term of partial_sum(B) ~
     Delta log log B + beta.
     """
@@ -178,7 +177,6 @@ class SigmaTable:
     entries: dict[int, Fraction | float]
     partial_sums: dict[int, float]
     beta_fit: float
-    estimate_samples: dict[int, int] = field(default_factory=dict)
 
 
 def _coords(x) -> tuple[int, ...]:
@@ -230,7 +228,6 @@ def diagonal_conics() -> FamilyDescriptor:
         name="diagonal_conics",
         n=2,
         A=2,
-        Delta=Fraction(3, 2),
         theta=_conic_theta,
         theta_grid=lambda rows, primes: conic_insoluble_grid(rows, primes).view(np.int8),
         digit_model=_conic_model,
@@ -637,10 +634,6 @@ def _cubic_theta_grid(rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pseudo_split_divisor() -> ComponentAction:
-    return ComponentAction.from_elements([(0,)], [1])
-
-
 @functools.lru_cache(maxsize=None)
 def diagonal_cubics() -> FamilyDescriptor:
     """The family y_0 x_0^3 + y_1 x_1^3 + y_2 x_2^3 + y_3 x_3^3 = 0."""
@@ -648,11 +641,10 @@ def diagonal_cubics() -> FamilyDescriptor:
         name="diagonal_cubics",
         n=3,
         A=3,
-        Delta=Fraction(0),
         theta=_cubic_theta,
         theta_grid=_cubic_theta_grid,
         digit_model=lambda v: _sign_model(_cubic_theta, 3) if v == INF else _cubic_decider(v).model,
-        divisors=tuple(_pseudo_split_divisor() for _ in range(4)),
+        divisors=(),
     )
 
 
@@ -782,6 +774,7 @@ def sigma_empirical(
     too shallow to pin the unit class) counts as unknown, as does an
     undecided verdict; unknowns are reported separately and not folded into
     the value.  The remaining disks are decided by digit_model(p).grid.
+    Disks whose rows exceed physical memory raise ValueError before any draw.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
@@ -793,6 +786,7 @@ def sigma_empirical(
     if M >= 1 << 62:
         raise ValueError("p^depth too large to sample")
     m = family.n + 1
+    check_fits_in_memory(sample_size * m * 8, f"{sample_size} disks")
     rng = np.random.default_rng(seed)
     rows = np.empty((0, m), dtype=np.int64)
     while len(rows) < sample_size:

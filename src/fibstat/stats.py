@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .arith import prime_support, primes_up_to
+from .arith import check_fits_in_memory, prime_support, primes_up_to
 from .families import (
     DiskDensityEstimate,
     FamilyDescriptor,
@@ -64,6 +63,7 @@ __all__ = [
     "cubic_density_table",
     "classic_omega_set",
     "CLASSIC_OMEGA",
+    "CENTERINGS",
 ]
 
 
@@ -110,7 +110,6 @@ class RecordSet:
     heights: np.ndarray
     tainted: np.ndarray
     singular_count: int
-    sampled: bool = False
 
     def __post_init__(self):
         if not (len(self.omegas) == len(self.heights) == len(self.tainted)):
@@ -147,7 +146,6 @@ class RecordSet:
             self.heights[keep],
             self.tainted[keep],
             singular,
-            self.sampled,
         )
 
     @staticmethod
@@ -157,7 +155,6 @@ class RecordSet:
         B: int,
         S,
         singular_count: int = 0,
-        sampled: bool = False,
     ) -> "RecordSet":
         """Columns of a scan() record list, for the columnar reductions."""
         recs = list(records)
@@ -169,7 +166,6 @@ class RecordSet:
             np.array([r.point.height for r in recs], np.int64),
             np.array([r.tainted for r in recs], bool),
             singular_count,
-            sampled,
         )
 
 
@@ -281,9 +277,10 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
     Walks the leads and masks of projective.lead_masks, which point_slabs
-    is built on.  A point with a leading zero is singular; for a lead a,
-    the rows are the coprime positions with no zero entry, in point_slabs
-    order, and the other coprime positions are singular.  The places
+    is built on.  For a lead a with no leading zero, the rows are the
+    coprime positions with no zero entry, in point_slabs order; those leads
+    come first and every later point has a zero coordinate, so the walk
+    stops there and every point not a row is singular.  The places
     outside S (the real place, and the primes: only those <= B can divide
     a coordinate) are decided on the grid through their digit_model
     (_PlaceGrids).  The columns are allocated once for all count_points(n, B)
@@ -297,19 +294,17 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     n = family.n
     size = count_points(n, B)
     columns = (np.int64, np.int64, bool)  # omegas, heights, tainted
-    need = size * sum(np.dtype(t).itemsize for t in columns)
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ValueError(f"a scan at B={B} needs {need / 1e9:.1f} GB, above physical memory")
+    check_fits_in_memory(size * sum(np.dtype(t).itemsize for t in columns), f"a scan at B={B}")
     places = _PlaceGrids(family, B, S)
     omegas, heights, tainted = (np.empty(size, t) for t in columns)
     axes = np.ix_(*[np.arange(-B, B + 1, dtype=np.min_scalar_type(-B - 1))] * n)
     nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in axes])
     tail_height = functools.reduce(np.maximum, map(np.abs, axes)).ravel()
-    filled = singular = 0
+    filled = 0
     for zeros, lead, mask in lead_masks(n, B):
-        points = int(np.count_nonzero(mask))
-        idx = np.flatnonzero(mask & nonzero) if not zeros else []
-        singular += points - len(idx)
+        if zeros:
+            break
+        idx = np.flatnonzero(mask & nonzero)
         if not len(idx):
             continue
         omega, taint = places.lead(lead)
@@ -319,7 +314,7 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
         heights[filled:end] = np.maximum(tail_height[idx], lead)
         filled = end
     return RecordSet(
-        family, B, S, omegas[:filled], heights[:filled], tainted[:filled], singular
+        family, B, S, omegas[:filled], heights[:filled], tainted[:filled], size - filled
     )
 
 
@@ -407,12 +402,15 @@ def sample_records(
     spread over min(threads, streams) threads.  A row's count does not
     depend on its block, so the output is byte-identical for any thread
     count.  The draws themselves run in order on the calling thread: they
-    are small and hold the GIL.
+    are small and hold the GIL.  A sample whose rows and columns exceed
+    physical memory raises ValueError before anything is drawn.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     if sample_size < 1:
         raise ValueError("need a positive sample size")
+    # int64 rows, then int64 omegas and heights and a bool taint column
+    check_fits_in_memory(sample_size * (8 * (family.n + 1) + 17), f"a sample of {sample_size}")
     S = tuple(S)
     children = np.random.SeedSequence(seed).spawn(chunks)
     sizes = [sample_size // chunks + (i < sample_size % chunks) for i in range(chunks)]
@@ -435,7 +433,6 @@ def sample_records(
         np.abs(rows).max(axis=1),
         np.concatenate([p[1] for p in parts]),
         sum(d[1] for d in draws),
-        sampled=True,
     )
 
 
@@ -589,7 +586,8 @@ class MomentReport:
     mu_r_reference: float
 
 
-_CENTERINGS = ("paper", "empirical")
+# how moments and KS distances centre omega: on Delta log log H, or on the sigma_p partial sums
+CENTERINGS = ("paper", "empirical")
 
 
 def moments(
@@ -613,8 +611,8 @@ def moments(
         raise ValueError("Delta must be positive (tau_histogram covers Delta = 0)")
     if r < 0 or int(r) != r:
         raise ValueError("moment order must be a non-negative integer")
-    if centering not in _CENTERINGS:
-        raise ValueError(f"centering must be one of {_CENTERINGS}")
+    if centering not in CENTERINGS:
+        raise ValueError(f"centering must be one of {CENTERINGS}")
     if r == 0:
         return MomentReport(B, 0, 1.0, centering, 1.0)
     om, _ = _usable(records)
@@ -799,8 +797,8 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
     """
     if float(Delta) <= 0:
         raise ValueError("Delta must be positive")
-    if centering not in _CENTERINGS:
-        raise ValueError(f"centering must be one of {_CENTERINGS}")
+    if centering not in CENTERINGS:
+        raise ValueError(f"centering must be one of {CENTERINGS}")
     om, hts = _usable(records)
     llh = np.log(np.log(hts))
     if centering == "paper":

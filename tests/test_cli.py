@@ -1,5 +1,6 @@
 """CLI runs: artifacts, manifests, round-trips, exit codes, determinism."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -239,6 +240,18 @@ def test_tau_refuses_a_scan_above_physical_memory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("ekac", "--sample-size", "10000000000000"),
+    ("tau", "--family", "diagonal-cubics", "--B", "4", "--sample-size", "10000000000000"),
+])
+def test_samples_above_physical_memory_are_config_errors(tmp_path, capsys, argv):
+    # 10^13 rows or disks: refused before anything is drawn
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "physical memory" in err["detail"]
+
+
+@pytest.mark.parametrize("argv", [
     ("tau", "--family", "diagonal-cubics", "--B", "4", "--prime-cutoff", "1"),
     ("tau", "--B", "4", "--prime-cutoff", "0"),
     ("baseline", "--B", "101"),
@@ -298,7 +311,7 @@ def test_bad_place_list(tmp_path, capsys):
 
 
 def test_manifest_contents(tmp_path):
-    code, out = run_cli(tmp_path, "sigma", "--B", "300", "--seed", "9")
+    code, out = run_cli(tmp_path, "ekac", "--B", "300", "--sample-size", "200", "--seed", "9")
     assert code == 0
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert manifest["version"] == "fibstat v1"
@@ -310,6 +323,41 @@ def test_manifest_contents(tmp_path):
     assert cfg.content_hash() == manifest["config_sha256"]
     raw = (tmp_path / "run.manifest.json").read_text()
     assert raw == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+
+
+# the flags each command reads; every command also takes --output and --format
+COMMAND_FLAGS = {
+    "enumerate": {"--family", "--B"},
+    "sigma": {"--family", "--B"},
+    "ekac": {"--family", "--B", "--S", "--r-max", "--threads", "--seed", "--sample-size",
+             "--centering"},
+    "tau": {"--family", "--B", "--S", "--seed", "--sample-size", "--prime-cutoff"},
+    "delta": {"--input"},
+    "hilbert": {"--conic", "--symbol", "--place"},
+    "baseline": {"--B", "--r-max", "--centering"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(COMMAND_FLAGS) == set(cli.COMMANDS)
+    for name, flags in COMMAND_FLAGS.items():
+        got = {opt for a in sub.choices[name]._actions for opt in a.option_strings}
+        assert got == flags | {"--output", "--format", "-h", "--help"}, name
+
+
+@pytest.mark.parametrize("argv", [
+    ("baseline", "--family", "diagonal_cubics"),
+    ("tau", "--threads", "2"),
+    ("sigma", "--seed", "9"),
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_partial_outputs_on_failure(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,12 +73,6 @@ def test_family_by_name():
     assert family_by_name("diagonal_cubics") is diagonal_cubics()
     with pytest.raises(ValueError):
         family_by_name("elliptic_pencils")
-
-
-def test_descriptor_rejects_inconsistent_delta():
-    fam = diagonal_conics()
-    with pytest.raises(ValueError, match="disagrees"):
-        dataclasses.replace(fam, name="broken", Delta=Fraction(1))
 
 
 def test_renamed_family_gives_identical_results():
@@ -435,6 +430,19 @@ def test_sigma_empirical_rejections():
         sigma_empirical(fam, 5, 10, 0)
     with pytest.raises(ValueError):
         sigma_empirical(fam, 6, 10, 2)
+
+
+def test_sigma_empirical_refuses_disks_above_physical_memory():
+    # 10^13 disks of four int64 coordinates take about 320 TB; the check
+    # comes before any draw
+    fam = diagonal_cubics()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            sigma_empirical(fam, 5, 10**13, 4)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_two_adic_density_exact_value_and_mc_cross_check():

@@ -19,6 +19,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from fibstat import arith
 from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
@@ -118,6 +119,18 @@ def test_legendre_multiplicative():
         p = rng.choice([3, 5, 7, 11, 13, 17, 19])
         a, b = rng.randrange(1, p), rng.randrange(1, p)
         assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
+
+
+# odd primes up to about 2^61, small ones included
+_ODD_PRIMES = st.integers(2, 2**61).map(sympy.nextprime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ODD_PRIMES, st.integers(-2**70, 2**70), st.booleans())
+def test_legendre_matches_sympy_at_large_primes(p, a, multiple):
+    if multiple:
+        a *= p
+    assert legendre(a, p) == legendre_symbol(a, p)
 
 
 def test_legendre_rejects_two():
@@ -296,6 +309,19 @@ def test_hilbert_odd_formula_vs_residue_oracle():
             want = brute_decide([a, b, -1], 2, p, (2, 3))
             assert want is not None, (a, b, p)
             assert (hilbert(a, b, p) == 1) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ODD_PRIMES, st.integers(-2**64, 2**64).filter(bool), st.integers(0, 3),
+       st.integers(-2**64, 2**64).filter(bool), st.integers(0, 3))
+def test_hilbert_matches_valuation_formula_at_large_primes(p, u, i, w, j):
+    # (a, b)_p = (-1)^(alpha beta (p-1)/2) (a0|p)^beta (b0|p)^alpha for a = p^alpha a0
+    a, b = u * p**i, w * p**j
+    alpha, beta = sympy.multiplicity(p, a), sympy.multiplicity(p, b)
+    a0, b0 = a // p**alpha, b // p**beta
+    sign = -1 if alpha * beta % 2 and p % 4 == 3 else 1
+    want = sign * legendre_symbol(a0, p) ** beta * legendre_symbol(b0, p) ** alpha
+    assert hilbert(a, b, p) == want
 
 
 def test_hilbert_symmetry_and_range():

@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,18 @@ def test_record_set_refuses_columns_above_physical_memory():
         record_set(CUBICS, 200)
 
 
+def test_sample_records_refuses_a_sample_above_physical_memory():
+    # 10^13 rows take about 410 TB of rows and columns; the check comes
+    # before any draw
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            sample_records(CONICS, 10**5, 10**13, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_truncate_height():
     rs = record_set(CONICS, 10)
     cut = rs.truncate_height(6)
@@ -223,7 +236,6 @@ def test_sampler_thread_count_invariance():
     assert np.array_equal(one.omegas, two.omegas)
     assert np.array_equal(one.heights, two.heights)
     assert one.singular_count == two.singular_count
-    assert one.sampled and two.sampled
 
 
 def test_sampler_rows_are_plausible():
