@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import is_prime
 from .families import FamilyDescriptor, family_by_name
 from .grouptheory import bundled_document, delta, delta_total, parse_action_document
 from .localsolve import INF, Place, conic_soluble, hilbert
@@ -123,6 +124,13 @@ class RunConfig:
                 family_by_name(self.family)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"unknown family {self.family!r}") from exc
+        for v in (*self.S, *([] if self.place is None else [self.place])):
+            try:
+                if v == INF or is_prime(v):
+                    continue
+            except ValueError:  # past is_prime's proven bound
+                pass
+            raise ConfigError(f"place {_render_place(v)} is not a prime or 'inf'")
         if self.command == "hilbert":
             if (self.conic is None) == (self.symbol is None):
                 raise ConfigError("hilbert needs exactly one of --conic or --symbol")
@@ -163,13 +171,23 @@ def _parse_place(token: str) -> Place:
     try:
         return int(t)
     except ValueError:
-        raise ConfigError(f"bad place {token!r} (integer or 'inf')")
+        raise ConfigError(f"bad place {token!r} (a prime or 'inf')")
 
 
 def _parse_places(spec: str) -> tuple[Place, ...]:
     if not spec.strip():
         return ()
     return tuple(_parse_place(t) for t in spec.split(","))
+
+
+def _parse_threads(token: str) -> int:
+    # parses --threads and its default, FIBSTAT_THREADS
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(
+            f"threads (--threads or FIBSTAT_THREADS) must be an integer, got {token!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +595,7 @@ _FLAGS = {
     "B": {"type": int, "help": "height bound / cutoff"},
     "S": {"type": _parse_places, "help": "excluded places, comma list ('' for none)"},
     "r_max": {"type": int},
-    "threads": {"type": int},
+    "threads": {"type": _parse_threads},
     "seed": {"type": int},
     "output": {},
     "format": {"choices": FORMATS},
@@ -626,18 +644,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="local solubility statistics for families of varieties",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    raw_threads = os.environ.get("FIBSTAT_THREADS", "1")
-    try:
-        default_threads = int(raw_threads)
-    except ValueError:
-        raise ConfigError(f"FIBSTAT_THREADS must be an integer, got {raw_threads!r}") from None
     for name, (_, settings) in _COMMANDS.items():
         # a flag left out is left out of the namespace, so RunConfig supplies its default
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for key in (*settings, "output", "format"):
             p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
         if "threads" in settings:
-            p.set_defaults(threads=default_threads)
+            # a string default goes through _parse_threads only when this command parses
+            p.set_defaults(threads=os.environ.get("FIBSTAT_THREADS", "1"))
     return top
 
 

@@ -32,7 +32,6 @@ to.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,12 +262,13 @@ def _strip(col: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
 class DigitModel:
     """How a family decides one place v, a prime p or INF.
 
-    digits maps nonzero int64 values to digits below base, and a row's code
-    weights coordinate i's digit by base**i.  verdicts maps an integer
-    array of codes, of any shape, to int8 of that shape: 0 soluble,
-    1 insoluble, 2 undecided.  masses[d] is the exact Haar mass of the
-    values in Z_p with digit d, and a digit reads margin p-adic digits of
-    the unit part; at INF the digit is the sign (_sign_model).
+    digits maps nonzero int64 values to digits below base, and code packs a
+    row's digits into one code, coordinate i's digit weighted base**i;
+    _code_digits unpacks every code below base**width.  verdicts maps an
+    integer array of codes, of any shape, to int8 of that shape:
+    0 soluble, 1 insoluble, 2 undecided.  masses[d] is the exact Haar mass
+    of the values in Z_p with digit d, and a digit reads margin p-adic
+    digits of the unit part; at INF the digit is the sign (_sign_model).
     """
 
     base: int
@@ -277,41 +277,37 @@ class DigitModel:
     masses: tuple[Fraction, ...]
     margin: int
 
+    def code(self, digits: Sequence[np.ndarray]) -> np.ndarray:
+        """One digit array per coordinate, broadcasting together, packed into
+        codes in the smallest unsigned dtype that holds base**len(digits) - 1."""
+        dtype = np.min_scalar_type(self.base ** len(digits) - 1)
+        terms = (np.asarray(d, dtype) * self.base**i for i, d in enumerate(digits))
+        return functools.reduce(np.add, terms)
+
     def grid(self, rows) -> np.ndarray:
-        """int8 verdict per row of nonzero entries; a zero raises ValueError."""
-        return self.verdicts(_digit_codes(np.asarray(rows, dtype=np.int64), self.digits, self.base))
+        """int8 verdict per row of nonzero entries; a zero raises ValueError.
+
+        With m = max |entry|, the digits are computed once for the 2m + 1
+        values in [-m, m] and gathered when 2m + 1 is at most the row count;
+        wider rows get the digits of each coordinate column.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if not rows.all():
+            raise ValueError("zero entry has no digit")
+        m = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+        if 2 * m + 1 > len(rows):
+            return self.verdicts(self.code([self.digits(col) for col in rows.T]))
+        # position v holds value v, so a negative entry reads from the end
+        values = np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
+        values[0] = 1  # stands in for 0, which no row holds
+        table = self.digits(values)
+        return self.verdicts(self.code([table[col] for col in rows.T]))
 
 
-def _digit_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray], base: int):
-    """Each row's coordinate digits packed into one code, digit i weighted base**i.
-
-    digits maps an int64 array of nonzero values to their digits at one
-    prime, ints below base.  With m = max |entry|, they are computed once
-    for the 2m + 1 values in [-m, m] and gathered, one gather per
-    coordinate, when 2m + 1 is at most the row count; wider rows get the
-    digits of each coordinate column.  A zero entry raises ValueError.
-    """
-    if not coeffs.all():
-        raise ValueError("zero entry has no digit")
-    m = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
-    if 2 * m + 1 > len(coeffs):
-        return _column_codes(coeffs, digits, base)
-    # position v holds value v, so a negative entry reads from the end
-    values = np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
-    values[0] = 1  # stands in for 0, which no row holds
-    table = digits(values)
-    codes = table[coeffs[:, 0]]
-    for i in range(1, coeffs.shape[1]):
-        codes += (table * base**i)[coeffs[:, i]]
-    return codes
-
-
-def _column_codes(coeffs: np.ndarray, digits: Callable[[np.ndarray], np.ndarray], base: int):
-    # _digit_codes without the value table: one digits call per coordinate column
-    codes = digits(coeffs[:, 0])
-    for i in range(1, coeffs.shape[1]):
-        codes += digits(coeffs[:, i]) * base**i
-    return codes
+def _code_digits(base: int, width: int) -> np.ndarray:
+    """Every code below base**width in order, as the row of its width
+    digits: row c holds the digits DigitModel.code packs into c."""
+    return np.arange(base**width)[:, None] // base ** np.arange(width) % base
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,9 +318,8 @@ def _sign_model(theta: Callable[[Sequence[int], Place], bool], n: int) -> DigitM
     the signs, so each of the 2^(n+1) sign patterns gets theta's verdict at
     INF on its row of +-1.
     """
-    # product() runs its last factor fastest, so reversed rows are in code order
-    rows = itertools.product((1, -1), repeat=n + 1)
-    table = np.array([theta(row[::-1], INF) for row in rows], np.int8)
+    rows = 1 - 2 * _code_digits(2, n + 1)
+    table = np.array([theta(row, INF) for row in rows.tolist()], np.int8)
     return DigitModel(2, lambda v: (v < 0).astype(np.int64), table.take, (Fraction(1, 2),) * 2, 0)
 
 
@@ -370,10 +365,9 @@ def _conic_verdicts(p: int) -> np.ndarray:
     and localsolve.conic_soluble decides each triple.
     """
     units = (1, 3, 5, 7) if p == 2 else (1, 2)
-    reps = [p**e * u for e in (0, 1) for u in units]
-    # product() runs its last factor fastest, so reversed triples are (a, b, c)
+    reps = np.array([p**e * u for e in (0, 1) for u in units])
     return np.array(
-        [not conic_soluble(a, b, c, p) for c, b, a in itertools.product(reps, repeat=3)]
+        [not conic_soluble(a, b, c, p) for a, b, c in reps[_code_digits(len(reps), 3)].tolist()]
     )
 
 
@@ -404,7 +398,8 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if np.ndim(place):
         p = np.asarray(place, dtype=np.int64)
-        codes = _column_codes(coeffs, lambda col: _conic_digits(col, p), 4)
+        # every odd prime's model packs the same base-4 digits
+        codes = _conic_model(3).code([_conic_digits(col, p) for col in coeffs.T])
         return np.where(p % 4 == 1, _conic_verdicts(5)[codes], _conic_verdicts(3)[codes])
     return _conic_model(place if place == INF else int(place)).grid(coeffs).view(bool)
 
@@ -494,7 +489,7 @@ def _canonical_digit_codes() -> np.ndarray:
     per-coordinate unit-cube factors.  Each move is a bijection on
     solution sets, so solubility is a function of the canonical code.
     """
-    digits = np.arange(9**4)[:, None] // 9 ** np.arange(4) % 9
+    digits = _code_digits(9, 4)
     # each (s, t) move, sorted and packed; the canonical code is the least
     moved = [
         np.sort((digits // 3 + s) % 3 * 3 + (digits % 3 + t) % 3, axis=1) @ 9 ** np.arange(4)
@@ -848,8 +843,9 @@ def insoluble_density(family: FamilyDescriptor, p: int) -> Fraction:
         raise ValueError("p must be prime")
     model = family.digit_model(p)
     masses = np.array(model.masses, dtype=object)
-    rows = np.array(list(itertools.product(np.flatnonzero(masses).tolist(), repeat=family.n + 1)))
-    verdicts = model.verdicts(rows @ model.base ** np.arange(family.n + 1))
+    rows = _code_digits(model.base, family.n + 1)
+    rows = rows[(masses != 0)[rows].all(axis=1)]
+    verdicts = model.verdicts(model.code(rows.T))
     if (verdicts == 2).any():
         raise Undecided(rows[verdicts == 2][0].tolist(), p, "digits of an undecided code")
     # an empty object sum is the int 0
@@ -896,9 +892,11 @@ def _units_can_obstruct(family: FamilyDescriptor, p: int) -> bool:
     # fixed by its residue mod p^margin.
     model = family.digit_model(p)
     units = np.arange(1, p**model.margin + 1)
-    digits = np.unique(model.digits(units[units % p != 0]))
-    rows = np.array(list(itertools.product(digits.tolist(), repeat=family.n + 1)))
-    return bool(model.verdicts(rows @ model.base ** np.arange(family.n + 1)).any())
+    is_unit = np.zeros(model.base, bool)
+    is_unit[model.digits(units[units % p != 0])] = True
+    rows = _code_digits(model.base, family.n + 1)
+    rows = rows[is_unit[rows].all(axis=1)]
+    return bool(model.verdicts(model.code(rows.T)).any())
 
 
 def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> CalibrationReport:

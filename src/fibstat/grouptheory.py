@@ -57,10 +57,9 @@ class ComponentAction:
 
     elements is the full element list of the group, each a tuple of images
     on component indices; duplicates are allowed and mean the action factors
-    through a proper quotient.  group_size must equal len(elements).
+    through a proper quotient, and the group's order is len(elements).
     """
 
-    group_size: int
     elements: tuple[tuple[int, ...], ...]
     multiplicities: tuple[int, ...]
 
@@ -70,8 +69,6 @@ class ComponentAction:
             raise ValueError("need at least one component")
         if any(m < 1 for m in self.multiplicities):
             raise ValueError("multiplicities must be positive")
-        if self.group_size < 1 or self.group_size != len(self.elements):
-            raise ValueError("group_size must equal the number of listed elements")
         images = set()
         for g in self.elements:
             if len(g) != k or sorted(g) != list(range(k)):
@@ -94,7 +91,7 @@ class ComponentAction:
         elements: Iterable[Sequence[int]], multiplicities: Sequence[int]
     ) -> "ComponentAction":
         elems = tuple(tuple(int(i) for i in g) for g in elements)
-        return ComponentAction(len(elems), elems, tuple(int(m) for m in multiplicities))
+        return ComponentAction(elems, tuple(int(m) for m in multiplicities))
 
 
 def delta(action: ComponentAction) -> Fraction:
@@ -106,7 +103,7 @@ def delta(action: ComponentAction) -> Fraction:
             for i in range(len(action.multiplicities))
         ):
             fixing += 1
-    return Fraction(fixing, action.group_size)
+    return Fraction(fixing, len(action.elements))
 
 
 def delta_total(divisors: Iterable[ComponentAction]) -> Fraction:
@@ -186,7 +183,7 @@ def parse_action_document(text: str) -> dict[str, ComponentAction]:
                 raise ValueError(f"line {lineno}: stray 'end'")
             if mults is None or not elements:
                 raise ValueError(f"line {lineno}: block {name!r} is incomplete")
-            out[name] = ComponentAction(len(elements), tuple(elements), mults)
+            out[name] = ComponentAction(tuple(elements), mults)
             name, mults, elements = None, None, []
         else:
             raise ValueError(f"line {lineno}: unknown directive {word!r}")

@@ -82,25 +82,11 @@ def _canonical_residue(coords: tuple[int, ...], modulus: int) -> tuple[int, ...]
         first = next((v % p for v in coords if v % p != 0), None)
         if first is None:
             raise ValueError("vector not primitive modulo %d" % p)
-        inv = pow(first, p - 2, p) if p > 2 else first % 2
-        # CRT: lam == inv (mod p), lam == previous (mod mod_acc)
-        g, x, _ = _egcd(mod_acc, p)
-        assert g == 1
-        lam = (lam + mod_acc * ((x * (inv - lam)) % p)) % (mod_acc * p)
+        # CRT: lam == first^-1 (mod p), lam == previous (mod mod_acc)
+        step = pow(mod_acc, -1, p) * (pow(first, -1, p) - lam) % p
+        lam = (lam + mod_acc * step) % (mod_acc * p)
         mod_acc *= p
     return tuple((lam * v) % modulus for v in coords)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -228,8 +214,7 @@ def residue_classes(n: int, Q: int) -> list[ResidueClass]:
         for j in range(n + 1):
             x, acc = 0, 1
             for p, rep in zip(primes, combo):
-                g, inv, _ = _egcd(acc, p)
-                x = (x + acc * ((inv * (rep[j] - x)) % p)) % (acc * p)
+                x = (x + acc * (pow(acc, -1, p) * (rep[j] - x) % p)) % (acc * p)
                 acc *= p
             coords.append(x)
         classes.append(ResidueClass(Q, tuple(coords)))

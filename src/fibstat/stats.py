@@ -210,8 +210,8 @@ class _PlaceGrids:
     stands for the row (a, t) of a lead a.  Each prime p <= max(A, B) and
     the real place, outside S, read family.digit_model, with digits
     computed once over [-B, B] (0, which no row holds, reads as 1) and over
-    the leads 1..B; a position's code is a broadcast sum of per-axis
-    digits.  The real place, a prime p <= A, or p | a, is decided on the
+    the leads 1..B, and model.code packs them into a position's code,
+    broadcast.  The real place, a prime p <= A, or p | a, is decided on the
     whole grid.  Otherwise p can only obstruct on the hyperplanes p | t_i,
     each the strided slice B % p :: p of axis i, and counts at the first
     axis whose entry it divides.  The verdicts depend on a only through its
@@ -228,26 +228,22 @@ class _PlaceGrids:
         for p in [*primes_up_to(max(family.A, B)).tolist(), INF]:
             if p not in S:
                 model = family.digit_model(p)
-                width = np.min_scalar_type(model.base ** (n + 1) - 1)
-                digits = model.digits(side).astype(width)
-                terms = [
-                    (digits * model.base ** (i + 1)).reshape((-1,) + (1,) * (n - 1 - i))
-                    for i in range(n)
-                ]
-                leads = model.digits(np.arange(1, B + 1)).astype(width)
-                self.places.append((p, model, terms, leads, {}))
+                digits = model.digits(side)
+                axes = [digits.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+                leads = model.digits(np.arange(1, B + 1))
+                self.places.append((p, model, axes, leads, {}))
 
-    def _parts(self, p, model, terms, digit, whole):
+    def _parts(self, p, model, axes, digit, whole):
         # (grid index, insoluble mask, undecided mask) per decided region,
         # a mask None when empty
         cut = slice(self.B % p, None, p)
-        regions = [(Ellipsis, terms)] if whole else [
-            ((slice(None),) * i + (cut,), [t[cut] if j == i else t for j, t in enumerate(terms)])
-            for i in range(len(terms))
+        regions = [(Ellipsis, axes)] if whole else [
+            ((slice(None),) * i + (cut,), [t[cut] if j == i else t for j, t in enumerate(axes)])
+            for i in range(len(axes))
         ]
         parts = []
         for i, (at, region) in enumerate(regions):
-            verdicts = model.verdicts(functools.reduce(np.add, region, digit))
+            verdicts = model.verdicts(model.code([digit, *region]))
             masks = []
             for value in (1, 2):
                 hit = verdicts == value
@@ -261,10 +257,10 @@ class _PlaceGrids:
         """(omega as uint8, taint) grids of the rows with lead a."""
         omega = np.zeros(self.shape, np.uint8)
         taint = np.zeros(self.shape, bool)
-        for p, model, terms, leads, kept in self.places:
+        for p, model, axes, leads, kept in self.places:
             key = int(leads[a - 1]), p <= self.A or p == INF or a % p == 0
             if key not in kept:
-                kept[key] = self._parts(p, model, terms, *key)
+                kept[key] = self._parts(p, model, axes, *key)
             for at, insoluble, undecided in kept[key]:
                 if insoluble is not None:
                     omega[at] += insoluble
@@ -352,6 +348,10 @@ def _sample_chunk(family, B, want, seed_seq):
 # size; capping its rows keeps peak memory flat in the sample size
 _BLOCK_ROWS = 4096
 
+# the sampler splits its seed into this many streams; it fixes which rows a
+# seed draws
+_STREAMS = 64
+
 
 # one scatter per place: insoluble verdicts count in the low 32 bits of a
 # row's tally, undecided ones in the bits above
@@ -392,11 +392,10 @@ def sample_records(
     seed: int,
     S=(INF,),
     threads: int = 1,
-    chunks: int = 64,
 ) -> RecordSet:
     """Seeded uniform sample of smooth-fibre points of height <= B.
 
-    The seed is split into a fixed number of independent streams, each
+    The seed is split into _STREAMS independent streams, each
     drawing its share of the rows; the rows are concatenated in stream
     order and decided in contiguous blocks of at most _BLOCK_ROWS rows,
     spread over min(threads, streams) threads.  A row's count does not
@@ -412,8 +411,8 @@ def sample_records(
     # int64 rows, then int64 omegas and heights and a bool taint column
     check_fits_in_memory(sample_size * (8 * (family.n + 1) + 17), f"a sample of {sample_size}")
     S = tuple(S)
-    children = np.random.SeedSequence(seed).spawn(chunks)
-    sizes = [sample_size // chunks + (i < sample_size % chunks) for i in range(chunks)]
+    children = np.random.SeedSequence(seed).spawn(_STREAMS)
+    sizes = [sample_size // _STREAMS + (i < sample_size % _STREAMS) for i in range(_STREAMS)]
     jobs = [(c, w) for c, w in zip(children, sizes) if w]
     draws = [_sample_chunk(family, B, w, c) for c, w in jobs]
     rows = np.concatenate([d[0] for d in draws])

@@ -310,6 +310,34 @@ def test_bad_place_list(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("ekac", "--S", "4"),
+    ("ekac", "--S", "-3"),
+    ("tau", "--S", "4"),
+    ("hilbert", "--conic", "1", "1", "21", "--place", "4"),
+], ids=lambda a: "_".join(a))
+def test_non_prime_place_is_config_error(tmp_path, capsys, argv):
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_config_rejects_a_non_prime_place(tmp_path):
+    with pytest.raises(cli.ConfigError):
+        cli.run(RunConfig("ekac", S=(4,), output=str(tmp_path / "x")))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, places", [("inf,3", ["inf", "3"]), ("", [])])
+def test_prime_and_infinite_places_run(tmp_path, spec, places):
+    code, _ = run_cli(tmp_path, "ekac", "--S", spec, "--B", "300", "--sample-size", "200")
+    assert code == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["config"]["S"] == places
+
+
 def test_manifest_contents(tmp_path):
     code, out = run_cli(tmp_path, "ekac", "--B", "300", "--sample-size", "200", "--seed", "9")
     assert code == 0
@@ -387,6 +415,13 @@ def test_malformed_thread_environment_is_config_error(tmp_path, monkeypatch, cap
     assert err["kind"] == "config"
     assert "FIBSTAT_THREADS" in err["detail"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("delta",), ("baseline", "--B", "200")])
+def test_thread_environment_is_read_only_by_ekac(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("FIBSTAT_THREADS", "abc")
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 0
 
 
 def _run_child(*argv):

@@ -642,6 +642,37 @@ def test_theta_grid_matches_scalar_theta(fam):
     assert grid.tolist() == _scalar_verdicts(fam, rows, per_row)
 
 
+@pytest.mark.parametrize(
+    "fam, places",
+    [(diagonal_conics(), (2, 3, 5, INF)), (diagonal_cubics(), (2, 3, 7, INF))],
+    ids=["conics", "cubics"],
+)
+def test_code_and_decoder_are_inverse(fam, places):
+    for v in places:
+        model = fam.digit_model(v)
+        width = fam.n + 1
+        rows = families._code_digits(model.base, width)
+        assert rows.shape == (model.base**width, width)
+        assert ((rows >= 0) & (rows < model.base)).all()
+        codes = model.code(rows.T)
+        assert codes.dtype == np.min_scalar_type(model.base**width - 1)
+        assert codes.tolist() == list(range(model.base**width)), v
+
+
+@pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
+def test_grid_value_table_and_column_routes_agree(fam):
+    # 600 rows of entries in [-40, 40] take the value table (81 <= 600);
+    # one row at a time, 2m + 1 > 1 sends each through its columns
+    rng = np.random.default_rng(17)
+    rows = rng.integers(-40, 41, size=(600, fam.n + 1))
+    rows = rows[(rows != 0).all(axis=1)]
+    for v in (2, 3, 5, 7, 13, INF):
+        model = fam.digit_model(v)
+        by_table = model.grid(rows)
+        by_column = np.concatenate([model.grid(row[None]) for row in rows])
+        assert by_table.tolist() == by_column.tolist(), v
+
+
 @pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
 def test_real_place_model_reads_theta_on_every_sign_pattern(fam):
     model = fam.digit_model(INF)

@@ -258,18 +258,22 @@ def test_sampler_parity_with_empty_s():
     ids=["conics", "cubics", "conics-1e12"],
 )
 def test_sampler_matches_scalar_omega(fam, S, B, want):
-    # one chunk whose first draw holds enough smooth rows: replay that draw
+    # replay the first draw of each stream, which holds its w smooth rows,
     # and decide each row with the scalar omega_pi.  At B = 1e12 the
     # coordinates are above the factor table and their primes far above
     # any row count.
     seed = 4
-    rs = sample_records(fam, B, want, seed=seed, S=S, chunks=1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    raw = rng.integers(-B, B + 1, size=(2 * want + 64, fam.n + 1))
-    cand = raw[np.gcd.reduce(np.abs(raw), axis=1) == 1]
-    rows = cand[(cand != 0).all(axis=1)][:want]
+    rs = sample_records(fam, B, want, seed=seed, S=S)
+    rows = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(stats._STREAMS)):
+        w = want // stats._STREAMS + (i < want % stats._STREAMS)
+        raw = np.random.default_rng(child).integers(-B, B + 1, size=(2 * w + 64, fam.n + 1))
+        cand = raw[np.gcd.reduce(np.abs(raw), axis=1) == 1]
+        smooth = cand[(cand != 0).all(axis=1)]
+        assert len(smooth) >= w
+        rows.extend(smooth[:w].tolist())
     assert len(rows) == want
-    recs = [omega_pi(fam, row, S) for row in rows.tolist()]
+    recs = [omega_pi(fam, row, S) for row in rows]
     assert rs.omegas.tolist() == [r.omega for r in recs]
     assert rs.tainted.tolist() == [r.tainted for r in recs]
 
