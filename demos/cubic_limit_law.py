@@ -17,7 +17,7 @@ import math
 from fibstat.families import diagonal_cubics
 from fibstat.stats import (
     cubic_density_table,
-    record_set,
+    scan_tally,
     tau_histogram,
     tau_limit_prediction,
 )
@@ -25,15 +25,16 @@ from fibstat.stats import (
 fam = diagonal_cubics()
 
 # ----------------------------------------------------------------------
-# Exhaustive scans at growing height bounds (the B = 30 one takes a few
-# seconds; push to 40 or 60 for the acceptance-grade numbers).
+# Exhaustive scans at growing height bounds, tallied per count with no
+# per-point column (the B = 30 one takes under a second; push to 40 or 60
+# for the acceptance-grade numbers).
 
 for B in (12, 20, 30):
-    rs = record_set(fam, B)
-    th = tau_histogram(rs)
-    cond = {j: c / rs.untainted_count for j, c in sorted(th.counts.items())}
+    tally = scan_tally(fam, B)
+    th = tau_histogram(tally)
+    cond = {j: c / tally.untainted_count for j, c in sorted(th.counts.items())}
     shown = ", ".join(f"tau({j}) = {v:.5f}" for j, v in cond.items())
-    print(f"B = {B:2d}: {rs.point_count:>9d} points, {shown}")
+    print(f"B = {B:2d}: {tally.point_count:>9d} points, {shown}")
 
 # ----------------------------------------------------------------------
 # The limit prediction: prod_p ((1 - q_p) + q_p z) with q_p the insoluble
@@ -58,9 +59,9 @@ from fractions import Fraction
 
 from fibstat.stats import n_moments
 
-rs = record_set(fam, 12)
-th = tau_histogram(rs)
+tally = scan_tally(fam, 12)
+th = tau_histogram(tally)
 for r in (1, 2, 3):
     via = sum(Fraction(j**r) * m for j, m in th.masses.items())
-    via *= Fraction(th.point_count, rs.untainted_count)
-    print(f"r = {r}: n_moments = {n_moments(rs, r)} == histogram sum {via}")
+    via *= Fraction(th.point_count, tally.untainted_count)
+    print(f"r = {r}: n_moments = {n_moments(tally, r)} == histogram sum {via}")

@@ -41,8 +41,8 @@ from .stats import (
     cubic_density_table,
     gaussian_distance,
     moments,
-    record_set,
     sample_records,
+    scan_tally,
     sigma_entries,
     sigma_partial_sums,
     standardized_values,
@@ -467,11 +467,11 @@ def _run_ekac(cfg: RunConfig):
 def _run_tau(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     try:
-        rs = record_set(fam, cfg.B, cfg.S)
-    except ValueError as exc:  # a scan whose columns exceed physical memory
+        tally = scan_tally(fam, cfg.B, cfg.S, threads=cfg.threads)
+    except ValueError as exc:  # a scan whose grids exceed physical memory
         raise ConfigError(str(exc)) from exc
-    _taint_check(rs.tainted_count, rs.point_count)
-    th = tau_histogram(rs)
+    _taint_check(tally.tainted_count, tally.point_count)
+    th = tau_histogram(tally)
     rows = [
         ("tau", j, th.counts[j], th.masses[j].numerator, th.masses[j].denominator)
         for j in sorted(th.counts)
@@ -581,7 +581,7 @@ _COMMANDS = {
         _run_ekac,
         ("family", "B", "S", "r_max", "threads", "seed", "sample_size", "centering"),
     ),
-    "tau": (_run_tau, ("family", "B", "S", "seed", "sample_size", "prime_cutoff")),
+    "tau": (_run_tau, ("family", "B", "S", "threads", "seed", "sample_size", "prime_cutoff")),
     "delta": (_run_delta, ("input",)),
     "hilbert": (_run_hilbert, ("conic", "symbol", "place")),
     "baseline": (_run_baseline, ("B", "r_max", "centering")),

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -40,6 +41,7 @@ from .projective import count_points, enumerate_points, lead_masks
 __all__ = [
     "RecordSet",
     "ScanSummary",
+    "ScanTally",
     "MomentReport",
     "TauHistogram",
     "TruncationWindow",
@@ -47,6 +49,7 @@ __all__ = [
     "TauPrediction",
     "scan",
     "record_set",
+    "scan_tally",
     "sample_records",
     "moments",
     "truncated_omega",
@@ -215,23 +218,27 @@ class _PlaceGrids:
     whole grid.  Otherwise p can only obstruct on the hyperplanes p | t_i,
     each the strided slice B % p :: p of axis i, and counts at the first
     axis whose entry it divides.  The verdicts depend on a only through its
-    digit and whether p | a, so they are kept per place and (digit, whole
-    grid); every lead is positive, so the real place is decided once.
+    key, 2 * digit + 1 when decided on the whole grid and 2 * digit
+    otherwise; every lead is positive, so the real place has one key.  warm
+    decides every key the leads 1..B ask for, on the calling thread, and
+    lead only reads what warm kept, so threads may share one instance.
     """
 
     def __init__(self, family: FamilyDescriptor, B: int, S: tuple):
         n = family.n
-        self.A, self.B, self.shape = family.A, B, (2 * B + 1,) * n
+        self.B, self.shape = B, (2 * B + 1,) * n
         side = np.arange(-B, B + 1)
         side[B] = 1
+        leads = np.arange(1, B + 1)
         self.places = []
         for p in [*primes_up_to(max(family.A, B)).tolist(), INF]:
             if p not in S:
                 model = family.digit_model(p)
                 digits = model.digits(side)
                 axes = [digits.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
-                leads = model.digits(np.arange(1, B + 1))
-                self.places.append((p, model, axes, leads, {}))
+                whole = leads % p == 0 if family.A < p < INF else np.ones(B, bool)
+                keys = 2 * model.digits(leads) + whole
+                self.places.append((p, model, axes, keys, {}))
 
     def _parts(self, p, model, axes, digit, whole):
         # (grid index, insoluble mask, undecided mask) per decided region,
@@ -253,15 +260,27 @@ class _PlaceGrids:
             parts.append((at, *masks))
         return parts
 
+    def warm(self, reserve: int, what: str):
+        """Decide every key the leads 1..B ask for.
+
+        Before each key, the masks kept so far plus reserve bytes are
+        checked against physical memory (ValueError), so a scan too large
+        to walk is refused before its first grid.
+        """
+        held = 0
+        for p, model, axes, keys, kept in self.places:
+            for key in np.unique(keys).tolist():
+                check_fits_in_memory(held + reserve, what)
+                kept[key] = self._parts(p, model, axes, *divmod(key, 2))
+                held += sum(m.nbytes for part in kept[key] for m in part[1:] if m is not None)
+        check_fits_in_memory(held + reserve, what)
+
     def lead(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         """(omega as uint8, taint) grids of the rows with lead a."""
         omega = np.zeros(self.shape, np.uint8)
         taint = np.zeros(self.shape, bool)
-        for p, model, axes, leads, kept in self.places:
-            key = int(leads[a - 1]), p <= self.A or p == INF or a % p == 0
-            if key not in kept:
-                kept[key] = self._parts(p, model, axes, *key)
-            for at, insoluble, undecided in kept[key]:
+        for p, model, axes, keys, kept in self.places:
+            for at, insoluble, undecided in kept[int(keys[a - 1])]:
                 if insoluble is not None:
                     omega[at] += insoluble
                 if undecided is not None:
@@ -269,20 +288,40 @@ class _PlaceGrids:
         return omega, taint
 
 
+def _tail_axes(n: int, B: int) -> list[np.ndarray]:
+    """The n axes of the tail grid [-B, B]^n, open for broadcasting (np.ix_)."""
+    return list(np.ix_(*[np.arange(-B, B + 1, dtype=np.min_scalar_type(-B - 1))] * n))
+
+
+def _smooth_leads(n: int, B: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, keep) per lead a of projective.lead_masks with no leading zero.
+
+    keep marks, over the tail grid, the rows (a, t): the primitive
+    positions with no zero entry, in point_slabs order.  Those leads come
+    first and every later point has a zero coordinate, so the walk stops
+    there and every point not a row is singular.  Leads come one at a
+    time; no two masks are held by the walk at once.
+    """
+    nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in _tail_axes(n, B)])
+    for zeros, lead, mask in lead_masks(n, B):
+        if zeros:
+            return
+        mask &= nonzero
+        yield lead, mask
+
+
 def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
-    Walks the leads and masks of projective.lead_masks, which point_slabs
-    is built on.  For a lead a with no leading zero, the rows are the
-    coprime positions with no zero entry, in point_slabs order; those leads
-    come first and every later point has a zero coordinate, so the walk
-    stops there and every point not a row is singular.  The places
-    outside S (the real place, and the primes: only those <= B can divide
-    a coordinate) are decided on the grid through their digit_model
-    (_PlaceGrids).  The columns are allocated once for all count_points(n, B)
-    points, filled lead by lead and returned as views of the rows filled,
-    so no column is held twice; columns above physical memory raise
-    ValueError before anything is allocated.
+    The row-level oracle path: it holds each row's omega, height and taint,
+    which the row-level tests and reductions read; fibstat tau scans into
+    scan_tally instead, which holds per-j counts only.  Both walk
+    _smooth_leads and decide the places outside S (the real place, and the
+    primes: only those <= B can divide a coordinate) on the grid through
+    their digit_model (_PlaceGrids).  The columns are allocated once for all
+    count_points(n, B) points, filled lead by lead and returned as views of
+    the rows filled, so no column is held twice; columns above physical
+    memory raise ValueError before anything is allocated.
     """
     if B < 3:
         raise ValueError("need B >= 3")
@@ -290,19 +329,16 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     n = family.n
     size = count_points(n, B)
     columns = (np.int64, np.int64, bool)  # omegas, heights, tainted
-    check_fits_in_memory(size * sum(np.dtype(t).itemsize for t in columns), f"a scan at B={B}")
+    nbytes = size * sum(np.dtype(t).itemsize for t in columns)
+    what = f"a scan at B={B}"
+    check_fits_in_memory(nbytes, what)
     places = _PlaceGrids(family, B, S)
+    places.warm(nbytes, what)
     omegas, heights, tainted = (np.empty(size, t) for t in columns)
-    axes = np.ix_(*[np.arange(-B, B + 1, dtype=np.min_scalar_type(-B - 1))] * n)
-    nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in axes])
-    tail_height = functools.reduce(np.maximum, map(np.abs, axes)).ravel()
+    tail_height = functools.reduce(np.maximum, map(np.abs, _tail_axes(n, B))).ravel()
     filled = 0
-    for zeros, lead, mask in lead_masks(n, B):
-        if zeros:
-            break
-        idx = np.flatnonzero(mask & nonzero)
-        if not len(idx):
-            continue
+    for lead, keep in _smooth_leads(n, B):
+        idx = np.flatnonzero(keep)
         omega, taint = places.lead(lead)
         end = filled + len(idx)
         omegas[filled:end] = omega.ravel()[idx]
@@ -312,6 +348,99 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     return RecordSet(
         family, B, S, omegas[:filled], heights[:filled], tainted[:filled], size - filled
     )
+
+
+@dataclass(frozen=True)
+class ScanTally:
+    """The per-j counts of one exhaustive scan, with no row kept.
+
+    counts[j] is the number of untainted smooth-fibre points with omega = j
+    (no trailing zero); every point counts there, as tainted or as
+    singular, so the four fields partition point_count.
+    """
+
+    B: int
+    counts: tuple[int, ...]
+    tainted_count: int
+    singular_count: int
+    point_count: int
+
+    def __post_init__(self):
+        if sum(self.counts) + self.tainted_count + self.singular_count != self.point_count:
+            raise ValueError("partition identity violated")
+
+    @property
+    def untainted_count(self) -> int:
+        return sum(self.counts)
+
+
+# bytes per tail-grid cell charged for each walking thread.  Under
+# tracemalloc a lead's walk held about 5 (its keep mask, omega and taint
+# grids and two bool temporaries) and warm's decision of one key up to 11
+# (the code grid, the intp copy an index gather makes of it, the verdicts
+# and a mask), which one thread's share covers.
+_WALK_BYTES = 12
+
+
+def _tally_leads(places: _PlaceGrids, walk, lock) -> tuple[np.ndarray, int, int]:
+    """(counts per j, tainted, rows) over the leads this thread takes from walk."""
+    counts = np.zeros(len(places.places) + 1, np.int64)  # omega <= the number of places
+    tainted = rows = 0
+    while True:
+        with lock:
+            item = next(walk, None)
+        if item is None:
+            return counts, tainted, rows
+        lead, keep = item
+        omega, taint = places.lead(lead)
+        rows += int(np.count_nonzero(keep))
+        taint &= keep
+        tainted += int(np.count_nonzero(taint))
+        keep ^= taint  # taint is inside keep: keep & ~taint
+        # a pass per j allocates bool grids only, where bincount would copy
+        # the gathered omegas to intp
+        for j in range(int(omega.max()) + 1):
+            counts[j] += np.count_nonzero((omega == j) & keep)
+
+
+def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> ScanTally:
+    """Exhaustive scan of all points of height <= B, tallied per omega.
+
+    The same walk and places as record_set, but each lead's rows are
+    counted at once (the untainted ones per omega, the tainted ones in
+    all), so no per-point column is allocated.  The leads are
+    spread over min(threads, B) threads, each taking the next lead from
+    one shared walk and summing its own counts; integer sums do not depend
+    on order, so the tally is identical for any thread count.  Every
+    verdict is decided by _PlaceGrids.warm on the calling thread before
+    the threads start.  A walk whose per-thread grids and kept verdict
+    masks exceed physical memory raises ValueError before its first grid.
+    """
+    if B < 3:
+        raise ValueError("need B >= 3")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
+    n = family.n
+    workers = min(threads, B)
+    # the shared nonzero mask, and each thread's grids
+    reserve = (1 + workers * _WALK_BYTES) * (2 * B + 1) ** n
+    what = f"a scan at B={B}"
+    check_fits_in_memory(reserve, what)
+    places = _PlaceGrids(family, B, tuple(S))
+    places.warm(reserve, what)
+    walk, lock = _smooth_leads(n, B), threading.Lock()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_tally_leads, places, walk, lock) for _ in range(workers)]
+            parts = [f.result() for f in futures]
+    else:
+        parts = [_tally_leads(places, walk, lock)]
+    counts = sum(p[0] for p in parts).tolist()
+    while counts and not counts[-1]:
+        counts.pop()
+    tainted, rows = sum(p[1] for p in parts), sum(p[2] for p in parts)
+    size = count_points(n, B)
+    return ScanTally(B, tuple(counts), tainted, size - rows, size)
 
 
 def _sample_chunk(family, B, want, seed_seq):
@@ -743,43 +872,51 @@ class TauHistogram:
                 raise ValueError("masses must be counts over the point count")
 
 
-def _untainted_bins(rs: RecordSet) -> np.ndarray:
-    """Number of untainted rows with omega = j, for j = 0, 1, ..."""
-    om = np.asarray(rs.omegas)
+def _as_tally(records) -> ScanTally:
+    """A ScanTally as it is; a RecordSet's untainted omegas binned into one."""
+    if isinstance(records, ScanTally):
+        return records
+    om = np.asarray(records.omegas)
     # an integer column needs no check and no copy
     if om.dtype.kind not in "iu" and not np.array_equal(om, np.round(om)):
         raise ValueError("histogram needs integer counts")
-    return np.bincount(om.astype(np.int64, copy=False)[~np.asarray(rs.tainted, bool)])
+    binned = np.bincount(om.astype(np.int64, copy=False)[~np.asarray(records.tainted, bool)])
+    return ScanTally(
+        int(records.B),
+        tuple(binned.tolist()),
+        records.tainted_count,
+        records.singular_count,
+        records.point_count,
+    )
 
 
-def tau_histogram(records: RecordSet) -> TauHistogram:
+def tau_histogram(records) -> TauHistogram:
     """Histogram of omega over untainted smooth fibres, exact fractions.
 
-    The bound and the singular count come from the set.
+    records is a ScanTally or a RecordSet, whose rows are binned first;
+    the bound and the singular count come from it.
     """
-    binned = _untainted_bins(records)
-    tainted_count = records.tainted_count
-    total = int(binned.sum()) + tainted_count + records.singular_count
-    counts = {int(j): int(c) for j, c in enumerate(binned) if c}
+    tally = _as_tally(records)
+    total = tally.point_count
+    counts = {j: c for j, c in enumerate(tally.counts) if c}
     masses = {j: Fraction(c, total) for j, c in counts.items()}
-    singular = records.singular_count
-    return TauHistogram(int(records.B), counts, masses, tainted_count, singular, total)
+    return TauHistogram(tally.B, counts, masses, tally.tainted_count, tally.singular_count, total)
 
 
-def n_moments(records: RecordSet, r: int) -> Fraction:
+def n_moments(records, r: int) -> Fraction:
     """Average of omega^r over untainted smooth fibres, exact.
 
-    Equals sum_j j^r tau(j) rescaled by point_count/untainted_count, since
-    the histogram masses are taken over all enumerated points.
+    records is a ScanTally or a RecordSet.  Equals sum_j j^r tau(j)
+    rescaled by point_count/untainted_count, since the histogram masses are
+    taken over all enumerated points.
     """
     if r < 1 or int(r) != r:
         raise ValueError("moment order must be a positive integer")
-    binned = _untainted_bins(records)
-    count = int(binned.sum())
-    if count == 0:
+    tally = _as_tally(records)
+    if tally.untainted_count == 0:
         raise ValueError("no untainted records")
     # power sum in exact integers
-    return Fraction(sum(int(c) * j**r for j, c in enumerate(binned)), count)
+    return Fraction(sum(c * j**r for j, c in enumerate(tally.counts)), tally.untainted_count)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fibstat import cli, stats
 from fibstat.cli import RunConfig, main, read_report
 from fibstat.families import SigmaTable, conic_sigma_formula
 from fibstat.projective import count_points
-from fibstat.stats import RecordSet
+from fibstat.stats import RecordSet, ScanTally
 
 
 def run_cli(tmp_path, *args):
@@ -217,23 +217,36 @@ def test_tau_cubics_with_prediction(tmp_path):
 
 
 def test_tau_taint_ceiling_exit(tmp_path, monkeypatch, capsys):
-    def fake_record_set(family, B, S=()):
+    def fake_scan_tally(family, B, S=(), threads=1):
         n = 1000
-        om = np.zeros(n, np.int64)
-        taint = np.zeros(n, bool)
-        taint[:5] = True  # 0.5% tainted, above the 0.1% ceiling
-        return RecordSet(family, B, tuple(S), om,
-                         np.full(n, B, np.int64), taint, 0)
+        tainted = 5  # 0.5% tainted, above the 0.1% ceiling
+        return ScanTally(B, (n - tainted,), tainted, 0, n)
 
-    monkeypatch.setattr(cli, "record_set", fake_record_set)
+    monkeypatch.setattr(cli, "scan_tally", fake_scan_tally)
     code, _ = run_cli(tmp_path, "tau", "--B", "10")
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "taint"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "diagonal-cubics", "--B", "20", "--prime-cutoff", "13", "--sample-size", "400"),
+    ("--B", "30", "--S", ""),
+])
+def test_tau_thread_count_invariance(tmp_path, monkeypatch, argv):
+    reports = []
+    for threads in (1, 2, 4):
+        # same relative --output in each directory: only --threads differs
+        (tmp_path / str(threads)).mkdir()
+        monkeypatch.chdir(tmp_path / str(threads))
+        assert main(["tau", *argv, "--threads", str(threads), "--output", "run"]) == 0
+        reports.append((tmp_path / str(threads) / "run.tau.csv").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_tau_refuses_a_scan_above_physical_memory(tmp_path, capsys):
-    # count_points(3, 200) rows take about 200 GB of columns
-    code, _ = run_cli(tmp_path, "tau", "--family", "diagonal-cubics", "--B", "200")
+    # one tail grid at B = 2000 has 4001^3 = 6.4e10 cells, each a byte or
+    # more in every grid the walk holds
+    code, _ = run_cli(tmp_path, "tau", "--family", "diagonal-cubics", "--B", "2000")
     assert code == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "config" and "physical memory" in err["detail"]
@@ -359,7 +372,7 @@ COMMAND_FLAGS = {
     "sigma": {"--family", "--B"},
     "ekac": {"--family", "--B", "--S", "--r-max", "--threads", "--seed", "--sample-size",
              "--centering"},
-    "tau": {"--family", "--B", "--S", "--seed", "--sample-size", "--prime-cutoff"},
+    "tau": {"--family", "--B", "--S", "--threads", "--seed", "--sample-size", "--prime-cutoff"},
     "delta": {"--input"},
     "hilbert": {"--conic", "--symbol", "--place"},
     "baseline": {"--B", "--r-max", "--centering"},
@@ -377,7 +390,7 @@ def test_each_command_takes_only_the_flags_it_reads():
 
 @pytest.mark.parametrize("argv", [
     ("baseline", "--family", "diagonal_cubics"),
-    ("tau", "--threads", "2"),
+    ("tau", "--centering", "paper"),
     ("sigma", "--seed", "9"),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
@@ -405,6 +418,7 @@ def test_environment_thread_default(tmp_path, monkeypatch):
     parser = cli._build_parser()
     ns = parser.parse_args(["ekac"])
     assert ns.threads == 4
+    assert parser.parse_args(["tau"]).threads == 4
 
 
 def test_malformed_thread_environment_is_config_error(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,8 @@ import bisect
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -13,9 +15,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from fibstat import stats
+from fibstat import families, stats
 from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
+    CubicDecider,
     DiskDensityEstimate,
     Undecided,
     conic_sigma_formula,
@@ -30,6 +33,7 @@ from fibstat.stats import (
     MomentReport,
     RecordSet,
     ScanSummary,
+    ScanTally,
     TruncationWindow,
     build_sigma_table,
     classic_omega_set,
@@ -41,6 +45,7 @@ from fibstat.stats import (
     record_set,
     sample_records,
     scan,
+    scan_tally,
     sigma_entries,
     sigma_partial_sums,
     standardized_values,
@@ -153,7 +158,8 @@ def test_record_set_tests_each_prime_once_per_row():
     _assert_same_columns(record_set(CONICS, 15, ()), record_set(quiet, 15, ()))
 
 
-def test_undecided_grid_verdicts_taint_like_the_scalar_route():
+def _moody():
+    # the conics with every verdict at 3 undecided
     def theta(x, v):
         if v == 3:
             raise Undecided(x.coords, v)
@@ -163,7 +169,11 @@ def test_undecided_grid_verdicts_taint_like_the_scalar_route():
         model = CONICS.digit_model(p)
         return _verdicts_everywhere(model, 2) if p == 3 else model
 
-    moody = dataclasses.replace(CONICS, name="moody", theta=theta, digit_model=digit_model)
+    return dataclasses.replace(CONICS, name="moody", theta=theta, digit_model=digit_model)
+
+
+def test_undecided_grid_verdicts_taint_like_the_scalar_route():
+    moody = _moody()
     records, summary = scan(moody, 12)
     fast = record_set(moody, 12)
     assert fast.omegas.tolist() == [r.omega for r in records]
@@ -184,6 +194,103 @@ def test_record_set_refuses_columns_above_physical_memory():
     # comes before any allocation
     with pytest.raises(ValueError, match="physical memory"):
         record_set(CUBICS, 200)
+
+
+def _tally_against_columns(family, B, S=(INF,)):
+    # scan_tally holds what tau_histogram bins from record_set's columns
+    tally = scan_tally(family, B, S)
+    th = tau_histogram(record_set(family, B, S))
+    assert {j: c for j, c in enumerate(tally.counts) if c} == th.counts
+    assert tally.tainted_count == th.tainted_count
+    assert tally.singular_count == th.singular_count
+    assert tally.point_count == th.point_count
+    assert sum(tally.counts) + tally.tainted_count + tally.singular_count == count_points(
+        family.n, B
+    )
+    assert tau_histogram(tally) == th
+    return tally
+
+
+@pytest.mark.parametrize("B", [3, 10, 15])
+@pytest.mark.parametrize("S", [(INF,), (), (2, 3)])
+def test_scan_tally_matches_the_column_path_conics(B, S):
+    _tally_against_columns(CONICS, B, S)
+
+
+@pytest.mark.parametrize("B", [6, 9])
+def test_scan_tally_matches_the_column_path_cubics(B):
+    _tally_against_columns(CUBICS, B)
+
+
+def test_scan_tally_counts_tainted_rows_like_the_column_path():
+    assert _tally_against_columns(_moody(), 12).tainted_count > 0
+
+
+@pytest.mark.parametrize("family, B, S", [(CONICS, 30, ()), (CUBICS, 12, (INF,))])
+def test_scan_tally_thread_count_invariance(family, B, S):
+    # more threads than cores, switching often: a lead taken twice or
+    # dropped by the shared walk would change the counts
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tallies = [scan_tally(family, B, S, threads=t) for t in (1, 2, 4)]
+        moody = [scan_tally(_moody(), 12, threads=t) for t in (1, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert tallies[0] == tallies[1] == tallies[2]
+    assert moody[0] == moody[1] and moody[0].tainted_count > 0
+
+
+def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
+    # fresh deciders per scan, so each scan searches its classes anew; warm
+    # runs every search and verdict lookup before the threads start
+    searched, threads_seen = [], set()
+    search = families.padic_point_search
+
+    def spy(form, p, **kwargs):
+        searched.append(threading.get_ident())
+        return search(form, p, **kwargs)
+
+    def digit_model(v):
+        model = CUBICS.digit_model(v) if v == INF else CubicDecider(v).model
+
+        def verdicts(codes):
+            threads_seen.add(threading.get_ident())
+            return model.verdicts(codes)
+
+        return dataclasses.replace(model, verdicts=verdicts)
+
+    monkeypatch.setattr(families, "padic_point_search", spy)
+    fresh = dataclasses.replace(CUBICS, digit_model=digit_model)
+    calls = []
+    for threads in (1, 4):
+        searched.clear()
+        scan_tally(fresh, 12, threads=threads)
+        calls.append(len(searched))
+        assert set(searched) == {threading.get_ident()}
+    assert calls[0] == calls[1] > 0
+    assert threads_seen == {threading.get_ident()}
+
+
+def test_scan_tally_refuses_grids_above_physical_memory():
+    # one tail grid at B = 2000 has 4001^3 = 6.4e10 cells; the check comes
+    # before any grid is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            scan_tally(CUBICS, 2000)
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_tally_validation():
+    with pytest.raises(ValueError):
+        scan_tally(CONICS, 2)
+    with pytest.raises(ValueError):
+        scan_tally(CONICS, 10, threads=0)
+    with pytest.raises(ValueError, match="partition"):
+        ScanTally(10, (3, 1), 0, 1, 6)
 
 
 def test_sample_records_refuses_a_sample_above_physical_memory():
@@ -520,6 +627,7 @@ def test_histogram_moment_identity():
             * Fraction(th.point_count, rs.untainted_count)
         )
         assert direct == via_masses
+        assert n_moments(scan_tally(CUBICS, 6), r) == direct
 
 
 def test_n_moments_validation():
