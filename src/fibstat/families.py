@@ -18,8 +18,8 @@ else), counts obstructed places per point (omega), and calibrates A
 empirically.  Every verdict at one place, and every exact insoluble
 density, reads the family's DigitModel: a digit per coefficient, a code
 per row, and a verdict per code (conics: three digit-triple tables built
-from localsolve.conic_soluble; cubics: one search per class; INF: theta
-per sign pattern).
+from localsolve.conic_soluble; cubics: three canonical-class tables
+searched once each; INF: theta per sign pattern).
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
@@ -468,17 +468,6 @@ def cubic_criterion(coeffs: Sequence[int], p: int) -> bool:
             and cube_class(carries[0], p) != cube_class(carries[1], p))
 
 
-def _class_rep(c: int, p: int) -> int:
-    if c == 0:
-        return 1
-    g = 2 if p == 3 else _smallest_noncube(p)
-    return g if c == 1 else g * g
-
-
-def _digit(v: int, c: int) -> int:
-    return (v % 3) * 3 + c
-
-
 @functools.lru_cache(maxsize=1)
 def _canonical_digit_codes() -> np.ndarray:
     """canonical[code] for all base-9 digit 4-tuples (v mod 3, cube class).
@@ -520,15 +509,52 @@ def _cube_class_table(p: int) -> np.ndarray:
 _RANKS = (Solubility.SOLUBLE, Solubility.INSOLUBLE, Solubility.UNKNOWN)
 
 
-class CubicDecider:
-    """Per-prime solubility decisions for sum y_i x_i^3 = 0, cached by
-    canonical coefficient class.
+def _rep_coeffs(code: int, p: int) -> tuple[int, ...]:
+    # a coefficient vector whose base-9 digits at p spell code; at
+    # p = 2 (mod 3) every unit is a cube, so only class 0 is spelt
+    g = 2 if p == 3 else _smallest_noncube(p) if p % 3 == 1 else 1
+    return tuple(p ** (code // 9**i % 9 // 3) * g ** (code // 9**i % 3) for i in range(4))
 
-    The canonical class of (y_0..y_3) records each coordinate's valuation
-    mod 3 and unit cube class, up to permutation and common scalings; the
-    p-adic search engine runs once per class on a small representative.
-    The unit class table and the verdict per canonical code are built once
-    and kept.  model is their DigitModel: valuations = r (mod 3) have mass
+
+@functools.lru_cache(maxsize=None)
+def _cubic_verdicts(rep: int) -> np.ndarray:
+    """Cubic verdict per raw base-9 digit 4-tuple at the prime rep, as int8
+    indices into _RANKS.
+
+    localsolve.padic_point_search decides one representative of each
+    canonical class (_canonical_digit_codes) with mass at rep, and every
+    code reads its class's verdict; a class with no mass (unit classes
+    1, 2 at rep = 2) reads 2.  Three tables serve every prime, built at
+    rep = 2, 3 and 7 (CubicDecider picks one), by the local criterion of
+    Colliot-Thelene, Kanevsky and Sansuc (LNM 1290, 1987).  For p != 3,
+    two coefficients whose valuations agree mod 3 give a smooth zero, which
+    Hensel lifts, exactly when minus their ratio is a unit cube.  At
+    p = 2 (mod 3) every unit is a cube, and four coefficients always put two
+    in one valuation class, so every class is soluble.  At p = 1 (mod 3),
+    p >= 7, three coefficients in one valuation class cut a smooth plane
+    cubic with at least p + 1 - 2 sqrt(p) > 0 points.  So a verdict reads
+    only which valuations and cube classes coincide, which is why one
+    representative prime serves each class of prime.
+    """
+    k = 1 if rep == 2 else 3
+    canonical = _canonical_digit_codes()
+    status = np.full(9**4, 2, np.int8)
+    reachable = (_code_digits(9, 4) % 3 < k).all(axis=1)
+    for code in np.unique(canonical[reachable]).tolist():
+        form = HomogeneousForm.diagonal(_rep_coeffs(code, rep), _CUBIC_FORM_DEGREE)
+        status[code] = _RANKS.index(padic_point_search(form, rep).status)
+    return status[canonical]
+
+
+class CubicDecider:
+    """Solubility at the prime p of sum y_i x_i^3 = 0, read from a constant
+    verdict table.
+
+    A coefficient's digit records its valuation mod 3 and the cube class of
+    its unit part, read from the cube-class table of p; the verdict of a
+    row's digits is the same at every prime of one class, p = 2 (mod 3),
+    p = 3 or p = 1 (mod 3), so it comes from _cubic_verdicts at 2, 3 or 7.
+    model is the DigitModel: valuations = r (mod 3) have mass
     p^-r / (1 + 1/p + 1/p^2), spread evenly over the unit cube classes.
     """
 
@@ -537,64 +563,31 @@ class CubicDecider:
             raise ValueError("p must be prime")
         self.p = int(p)
         self._classes = _cube_class_table(self.p)
-        # index into _RANKS per canonical code, -1 until that code is searched
-        self._status = np.full(9**4, -1, dtype=np.int8)
-        k = 3 if self.p == 3 or self.p % 3 == 1 else 1
+        rep = 3 if self.p == 3 else 7 if self.p % 3 == 1 else 2
+        k = 1 if rep == 2 else 3
         mass = 1 / (1 + Fraction(1, self.p) + Fraction(1, self.p**2)) / k
         masses = tuple(mass / self.p**r * (c < k) for r in range(3) for c in range(3))
+        table = _cubic_verdicts(rep)
         # cube classes of units are read mod 9 at p = 3, mod p elsewhere
-        self.model = DigitModel(9, self._digits, self._verdicts, masses, 2 if self.p == 3 else 1)
+        self.model = DigitModel(9, self._digits, table.take, masses, 2 if self.p == 3 else 1)
 
-    # -- scalar path
-
-    def _code_of(self, coords: Sequence[int]) -> int:
+    def decide(self, coords: Sequence[int]) -> Solubility:
+        """The verdict of one coefficient row, its digits read by scalar
+        valuations and cube_class."""
         p = self.p
-        digits = []
-        for y in coords:
+        code = 0
+        for i, y in enumerate(coords):
             y = int(y)
             if y == 0:
                 raise ValueError("cubic coefficients must be nonzero")
             v = valuation(y, p)
-            digits.append(_digit(v, cube_class(y // p**v, p)))
-        code = sum(d * 9**i for i, d in enumerate(digits))
-        return int(_canonical_digit_codes()[code])
-
-    def _rep_coeffs(self, code: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for i in range(4):
-            d = (code // 9**i) % 9
-            out.append(p ** (d // 3) * _class_rep(d % 3, p))
-        return tuple(out)
-
-    def _decide_code(self, code: int) -> Solubility:
-        if self._status[code] < 0:
-            form = HomogeneousForm.diagonal(self._rep_coeffs(code), _CUBIC_FORM_DEGREE)
-            verdict = padic_point_search(form, self.p)
-            self._status[code] = _RANKS.index(verdict.status)
-        return _RANKS[self._status[code]]
-
-    def decide(self, coords: Sequence[int]) -> Solubility:
-        return self._decide_code(self._code_of(coords))
-
-    # -- vectorized path
+            code += ((v % 3) * 3 + cube_class(y // p**v, p)) * 9**i
+        return _RANKS[self.model.verdicts(code)]
 
     def _digits(self, values: np.ndarray) -> np.ndarray:
         # (valuation mod 3, cube class of the unit part) as one base-9 digit
         v, u = _strip(values, self.p)
         return (v % 3) * 3 + self._classes[u % len(self._classes)]
-
-    def _verdicts(self, codes: np.ndarray) -> np.ndarray:
-        # each code's canonical class reads the kept status array; only
-        # classes still unset are searched
-        canonical = _canonical_digit_codes()
-        verdicts = self._status[canonical][codes]
-        unset = verdicts < 0
-        if unset.any():
-            for code in np.unique(canonical[codes[unset]]).tolist():
-                self._decide_code(code)
-            verdicts = self._status[canonical][codes]
-        return verdicts
 
     def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.

@@ -220,8 +220,9 @@ class _PlaceGrids:
     axis whose entry it divides.  The verdicts depend on a only through its
     key, 2 * digit + 1 when decided on the whole grid and 2 * digit
     otherwise; every lead is positive, so the real place has one key.  warm
-    decides every key the leads 1..B ask for, on the calling thread, and
-    lead only reads what warm kept, so threads may share one instance.
+    builds the masks of every key the leads 1..B ask for (the bundled
+    models' verdicts are fixed tables, so nothing is searched), and lead
+    only reads what warm kept, so threads may share one instance.
     """
 
     def __init__(self, family: FamilyDescriptor, B: int, S: tuple):
@@ -412,9 +413,10 @@ def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> 
     spread over min(threads, B) threads, each taking the next lead from
     one shared walk and summing its own counts; integer sums do not depend
     on order, so the tally is identical for any thread count.  Every
-    verdict is decided by _PlaceGrids.warm on the calling thread before
-    the threads start.  A walk whose per-thread grids and kept verdict
-    masks exceed physical memory raises ValueError before its first grid.
+    verdict mask is built by _PlaceGrids.warm before the threads start,
+    and the threads only read them.  A walk whose per-thread grids and
+    kept verdict masks exceed physical memory raises ValueError before its
+    first grid.
     """
     if B < 3:
         raise ValueError("need B >= 3")

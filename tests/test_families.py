@@ -341,8 +341,10 @@ def test_conic_insoluble_density_frozen():
 
 
 def test_cubic_insoluble_density_closed_forms():
+    # at 10009 a search at p itself passes padic_point_search's cell cap;
+    # the table built at 7 still decides every class
     fam = diagonal_cubics()
-    for p in primes_up_to(97).tolist():
+    for p in primes_up_to(97).tolist() + [10009]:
         got = insoluble_density(fam, p)
         assert isinstance(got, Fraction)
         if p % 3 == 1:
@@ -350,6 +352,10 @@ def test_cubic_insoluble_density_closed_forms():
         else:
             want = Fraction(200, 6591) if p == 3 else Fraction(0)
         assert got == want, p
+
+
+def test_sigma_empirical_cubics_decides_every_disk_above_the_search_cap():
+    assert sigma_empirical(diagonal_cubics(), 10009, 20000, 4).unknown_fraction == 0
 
 
 def test_cubic_insoluble_density_matches_sampled_disks():
@@ -582,26 +588,37 @@ def test_cubic_digit_route_matches_formula_route(p, monkeypatch):
         CubicDecider(p).decide_grid(rows)
 
 
-def test_cubic_decider_searches_each_class_once(monkeypatch):
+def test_cubic_verdicts_search_each_class_of_prime_once(monkeypatch):
     searched = []
     search = families.padic_point_search
 
     def spy(form, p, **kwargs):
-        searched.append(form)
+        searched.append((form, p))
         return search(form, p, **kwargs)
 
+    def decide_all(primes):
+        # every decider's grid and scalar verdicts, twice over
+        out = []
+        for p in primes:
+            dec = CubicDecider(p)
+            rows = _bounded_rows(p, 4, seed=3)
+            out.append(dec.decide_grid(rows).tolist())
+            assert dec.decide_grid(rows[::-1]).tolist()[::-1] == out[-1]
+            for row in rows[:50].tolist():
+                dec.decide(row)
+        return out
+
     monkeypatch.setattr(families, "padic_point_search", spy)
-    dec = CubicDecider(7)
-    rows = _bounded_rows(7, 4, seed=3)
-    first = dec.decide_grid(rows)
-    # one search per canonical class present, of the 55 there are
-    assert 0 < len(searched) == len(set(searched)) <= 55
-    done = len(searched)
-    again = dec.decide_grid(rows[::-1])
-    for row in rows[:50].tolist():
-        dec.decide(row)
-    assert len(searched) == done
-    assert again[::-1].tolist() == first.tolist()
+    families._cubic_verdicts.cache_clear()
+    first = decide_all((7, 13, 19, 31))
+    # one search per canonical class, of the 55 there are, all at 7
+    assert 0 < len(searched) == len({form for form, _ in searched}) <= 55
+    assert {p for _, p in searched} == {7}
+    searched.clear()
+    decide_all((2, 5, 11))
+    assert 0 < len(searched) <= 5 and {p for _, p in searched} == {2}
+    searched.clear()
+    assert decide_all((7, 13, 19, 31)) == first and not searched
 
 
 def test_cube_class_table_matches_scalar():

@@ -23,7 +23,14 @@ from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from fibstat import arith
 from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
-from fibstat.families import CubicDecider, _canonical_digit_codes, cubic_criterion, family_by_name
+from fibstat.families import (
+    _RANKS,
+    CubicDecider,
+    _canonical_digit_codes,
+    _rep_coeffs,
+    cubic_criterion,
+    family_by_name,
+)
 from fibstat.localsolve import (
     INF,
     HomogeneousForm,
@@ -775,18 +782,16 @@ def _cubic_class_forms(p):
     codes = np.unique(_canonical_digit_codes())
     digits = codes[:, None] // 9 ** np.arange(4) % 9
     codes = codes[(digits % 3 < classes).all(axis=1)]
-    decider = CubicDecider(p)
-    return {
-        int(c): HomogeneousForm.diagonal(decider._rep_coeffs(int(c)), 3) for c in codes.tolist()
-    }
+    return {int(c): HomogeneousForm.diagonal(_rep_coeffs(int(c), p), 3) for c in codes.tolist()}
 
 
 # the insoluble canonical codes at p = 1 (mod 3); p = 3 has one, p = 2 (mod 3) none
 _INSOLUBLE_CUBIC_CODES = {3168, 3177, 3178, 4626, 4635, 4636, 4707, 4716, 4717, 4726, 4788, 4798}
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 19, 31])
+@pytest.mark.parametrize("p", primes_up_to(97).tolist() + [1009, 6007])
 def test_every_cubic_class_is_decided(p):
+    # the search at p itself, against the constant table CubicDecider reads
     forms = _cubic_class_forms(p)
     assert len(forms) == (55 if p == 3 or p % 3 == 1 else 5)
     status = {code: padic_point_search(form, p).status for code, form in forms.items()}
@@ -794,6 +799,8 @@ def test_every_cubic_class_is_decided(p):
     insoluble = {code for code, st in status.items() if st is Solubility.INSOLUBLE}
     want = {3996} if p == 3 else _INSOLUBLE_CUBIC_CODES if p % 3 == 1 else set()
     assert insoluble == want
+    verdicts = CubicDecider(p).model.verdicts(np.array(list(status)))
+    assert [_RANKS[v] for v in verdicts.tolist()] == list(status.values())
 
 
 @pytest.mark.parametrize("p", [2, 7, 13, 67])

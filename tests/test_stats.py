@@ -242,8 +242,8 @@ def test_scan_tally_thread_count_invariance(family, B, S):
 
 
 def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
-    # fresh deciders per scan, so each scan searches its classes anew; warm
-    # runs every search and verdict lookup before the threads start
+    # the verdict tables are built anew for each scan; warm runs every
+    # search and verdict lookup before the threads start
     searched, threads_seen = [], set()
     search = families.padic_point_search
 
@@ -261,11 +261,12 @@ def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
         return dataclasses.replace(model, verdicts=verdicts)
 
     monkeypatch.setattr(families, "padic_point_search", spy)
-    fresh = dataclasses.replace(CUBICS, digit_model=digit_model)
+    spied = dataclasses.replace(CUBICS, digit_model=digit_model)
     calls = []
     for threads in (1, 4):
         searched.clear()
-        scan_tally(fresh, 12, threads=threads)
+        families._cubic_verdicts.cache_clear()
+        scan_tally(spied, 12, threads=threads)
         calls.append(len(searched))
         assert set(searched) == {threading.get_ident()}
     assert calls[0] == calls[1] > 0
