@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from fibstat.families import diagonal_conics
-from fibstat.stats import gaussian_distance, moments, sample_records, standardized_values
+from fibstat.stats import gaussian_distance, moment_series, sample_records, standardized_values
 
 fam = diagonal_conics()
 DELTA = Fraction(3, 2)
@@ -38,9 +38,8 @@ for B in (10**3, 10**4, 10**5):
 # primes at once, which suppresses the variance).
 
 B = 10**5
-for r in range(5):
-    rep = moments(sets[B], B, DELTA, r, centering="empirical")
-    print(f"  M_{r} = {rep.value:+.4f}   (normal reference {rep.mu_r_reference:.1f})")
+for rep in moment_series(sets[B], B, DELTA, 4, centering="empirical"):
+    print(f"  M_{rep.r} = {rep.value:+.4f}   (normal reference {rep.mu_r_reference:.1f})")
 
 # ----------------------------------------------------------------------
 # The standardized histogram against the bell curve, as text.

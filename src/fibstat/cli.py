@@ -39,8 +39,8 @@ from .stats import (
     TauPrediction,
     classic_omega_set,
     cubic_density_table,
-    gaussian_distance,
-    moments,
+    ks_distance,
+    moment_series,
     sample_records,
     scan_tally,
     sigma_entries,
@@ -421,11 +421,8 @@ def _taint_check(tainted: int, total: int):
 
 
 def _moment_rows(rs, cfg, Delta):
-    rows = []
-    for r in range(cfg.r_max + 1):
-        rep = moments(rs, cfg.B, Delta, r, centering=cfg.centering)
-        rows.append(("moment", r, rep.value, rep.mu_r_reference, None))
-    return rows
+    series = moment_series(rs, cfg.B, Delta, cfg.r_max, centering=cfg.centering)
+    return [("moment", rep.r, rep.value, rep.mu_r_reference, None) for rep in series]
 
 
 def _run_ekac(cfg: RunConfig):
@@ -440,9 +437,9 @@ def _run_ekac(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
     _taint_check(rs.tainted_count, len(rs.omegas))
     rows = _moment_rows(rs, cfg, fam.Delta)
-    ks = gaussian_distance(rs, fam.Delta, centering=cfg.centering)
-    rows.append(("ks", None, ks, None, None))
     z = standardized_values(rs, fam.Delta, centering=cfg.centering)
+    ks = ks_distance(z)
+    rows.append(("ks", None, ks, None, None))
     counts, edges = np.histogram(z, bins=HIST_BINS, range=HIST_RANGE)
     for i, c in enumerate(counts):
         rows.append(("hist", i, int(c), edges[i], edges[i + 1]))
@@ -559,12 +556,20 @@ def _run_hilbert(cfg: RunConfig):
 
 
 def _run_baseline(cfg: RunConfig):
-    rs = classic_omega_set(cfg.B)
+    try:
+        rs = classic_omega_set(cfg.B)
+    except ValueError as exc:  # columns that exceed physical memory
+        raise ConfigError(str(exc)) from exc
     rows = _moment_rows(rs, cfg, 1)
     stages = sorted({min(cfg.B, max(1000, cfg.B // k)) for k in (100, 10, 1)})
+    # classic_omega_set's heights are strictly increasing from 3 and no row
+    # is tainted, so every row is usable and the rows of height <= limit
+    # standardize to the prefix z[:k]
+    z = standardized_values(rs, 1, centering=cfg.centering)
     ks_at = {}
     for limit in stages:
-        ks_at[limit] = gaussian_distance(rs.truncate_height(limit), 1, centering=cfg.centering)
+        k = int(np.searchsorted(rs.heights, limit, "right"))
+        ks_at[limit] = ks_distance(z[:k])
         rows.append(("ks", limit, ks_at[limit], None, None))
     meta = {"B": cfg.B, "centering": cfg.centering, "family": "classic_omega"}
     results = {"ks": {str(k): v for k, v in ks_at.items()}}

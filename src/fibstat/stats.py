@@ -52,6 +52,7 @@ __all__ = [
     "scan_tally",
     "sample_records",
     "moments",
+    "moment_series",
     "truncated_omega",
     "truncated_moments",
     "moment_window",
@@ -62,6 +63,7 @@ __all__ = [
     "sigma_partial_sums",
     "standardized_values",
     "gaussian_distance",
+    "ks_distance",
     "tau_limit_prediction",
     "cubic_density_table",
     "classic_omega_set",
@@ -173,9 +175,14 @@ class RecordSet:
 
 
 def _usable(rs: RecordSet) -> tuple[np.ndarray, np.ndarray]:
-    """omega and height, as floats, of the untainted rows of height >= 3."""
+    """omega and height of the untainted rows of height >= 3.
+
+    When every row is usable these are the set's own columns, not copies.
+    """
     keep = ~np.asarray(rs.tainted, bool) & (np.asarray(rs.heights) >= 3)
-    return np.asarray(rs.omegas[keep], float), np.asarray(rs.heights[keep], float)
+    if keep.all():
+        return np.asarray(rs.omegas), np.asarray(rs.heights)
+    return np.asarray(rs.omegas)[keep], np.asarray(rs.heights)[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +727,61 @@ class MomentReport:
 CENTERINGS = ("paper", "empirical")
 
 
+def _check_reduction(Delta, centering: str):
+    if float(Delta) <= 0:
+        raise ValueError("Delta must be positive (tau_histogram covers Delta = 0)")
+    if centering not in CENTERINGS:
+        raise ValueError(f"centering must be one of {CENTERINGS}")
+
+
+def moment_series(
+    records: RecordSet,
+    B: int,
+    Delta,
+    r_max: int,
+    centering: str = "paper",
+) -> list[MomentReport]:
+    """Standardized moments r = 0..r_max of the obstruction counts at height bound B.
+
+    The r-th entry is the r-th power mean of (omega - center) / scale, with
+    scale = sqrt(Delta log log B), over untainted smooth fibres of height
+    >= 3, next to the normal reference moment.  Centering "paper" uses
+    Delta log log B itself; "empirical" uses the sum of the record set's
+    family sigma_p over p <= B, which differs by a constant and converges
+    much faster at accessible heights.  That sum is read off the family's
+    cached prefix table, so repeated calls take no exact sigma_p twice.
+
+    The usable rows, the centre and the scale are found once for every r.
+    omega is an integer count, so each order raises the standardized value
+    of every count 0..max(omega) once and gathers it per row: a row's term
+    goes through the same float operations as ((omega - center) / scale) ** r
+    and the mean sees the same terms in the same order, so each value is
+    that formula's bit for bit.  The r = 0 entry is 1 whatever the rows.
+    """
+    _check_reduction(Delta, centering)
+    if r_max < 0 or int(r_max) != r_max:
+        raise ValueError("moment order must be a non-negative integer")
+    reports = [MomentReport(B, 0, 1.0, centering, 1.0)]
+    if r_max == 0:
+        return reports
+    om, _ = _usable(records)
+    if not len(om):
+        raise ValueError("no usable records")
+    if not np.issubdtype(om.dtype, np.integer) or om.min() < 0:
+        raise ValueError("omega counts must be non-negative integers")
+    llB = math.log(math.log(B))
+    if centering == "paper":
+        center = float(Delta) * llB
+    else:
+        center = float(_center_sums(records.family, np.array([B]))[0])
+    scale = math.sqrt(float(Delta) * llB)
+    base = (np.arange(int(om.max()) + 1) - center) / scale
+    for r in range(1, int(r_max) + 1):
+        value = float(np.mean((base**r)[om]))
+        reports.append(MomentReport(B, r, value, centering, _mu_reference(r)))
+    return reports
+
+
 def moments(
     records: RecordSet,
     B: int,
@@ -727,35 +789,8 @@ def moments(
     r: int,
     centering: str = "paper",
 ) -> MomentReport:
-    """Standardized moment of the obstruction counts at height bound B.
-
-    The r-th power mean of (omega - center) / sqrt(Delta log log B) over
-    untainted smooth fibres of height >= 3.  Centering "paper" uses
-    Delta log log B itself; "empirical" uses the sum of the record set's
-    family sigma_p over p <= B, which differs by a constant and converges
-    much faster at accessible heights.  That sum is read off the family's
-    cached prefix table, so repeated calls take no exact sigma_p twice.
-    The normal reference moment rides along.
-    """
-    if float(Delta) <= 0:
-        raise ValueError("Delta must be positive (tau_histogram covers Delta = 0)")
-    if r < 0 or int(r) != r:
-        raise ValueError("moment order must be a non-negative integer")
-    if centering not in CENTERINGS:
-        raise ValueError(f"centering must be one of {CENTERINGS}")
-    if r == 0:
-        return MomentReport(B, 0, 1.0, centering, 1.0)
-    om, _ = _usable(records)
-    if not len(om):
-        raise ValueError("no usable records")
-    llB = math.log(math.log(B))
-    if centering == "paper":
-        center = float(Delta) * llB
-    else:
-        center = float(_center_sums(records.family, np.array([B]))[0])
-    scale = math.sqrt(float(Delta) * llB)
-    value = float(np.mean(((om - center) / scale) ** r))
-    return MomentReport(B, int(r), value, centering, _mu_reference(int(r)))
+    """The r-th standardized moment at height bound B: entry r of moment_series."""
+    return moment_series(records, B, Delta, r, centering)[int(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -930,36 +965,51 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
 
     center(H) is Delta log log H ("paper") or the sum of the family's
     sigma_p over p <= H ("empirical", read off the same cached prefix table
-    as moments).  Tainted rows and heights below 3 are dropped; with no
-    row left the result is empty under either centering.
+    as moment_series).  Tainted rows and heights below 3 are dropped; with
+    no row left the result is empty under either centering.  The result is
+    a fresh array, rows in the set's order; a row's value depends on its
+    own omega and height only.  It is worked out in place in two float
+    columns, with the same operations per element as the formula above.
     """
-    if float(Delta) <= 0:
-        raise ValueError("Delta must be positive")
-    if centering not in CENTERINGS:
-        raise ValueError(f"centering must be one of {CENTERINGS}")
+    _check_reduction(Delta, centering)
     om, hts = _usable(records)
-    llh = np.log(np.log(hts))
+    z = om.astype(float)
+    llh = hts.astype(float)
+    if centering == "empirical":
+        z -= _center_sums(records.family, llh)
+    np.log(llh, out=llh)
+    np.log(llh, out=llh)
+    llh *= float(Delta)
     if centering == "paper":
-        center = float(Delta) * llh
-    else:
-        center = _center_sums(records.family, hts)
-    return (om - center) / np.sqrt(float(Delta) * llh)
+        z -= llh
+    np.sqrt(llh, out=llh)
+    z /= llh
+    return z
+
+
+def ks_distance(z: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between standardized values and the
+    standard normal.
+
+    z is left as it is: a sorted copy takes the normal CDF in place.  Fewer
+    than 100 values is an error.
+    """
+    n = len(z)
+    if n < 100:
+        raise ValueError("need at least 100 usable records")
+    cdf = np.sort(z)
+    ndtr(cdf, out=cdf)
+    steps = np.arange(n, dtype=float)
+    steps /= n
+    below = cdf - steps
+    steps += 1.0 / n
+    steps -= cdf
+    return float(max(np.max(steps), np.max(below)))
 
 
 def gaussian_distance(records: RecordSet, Delta, centering: str = "paper") -> float:
-    """Kolmogorov-Smirnov distance between the standardized counts and the
-    standard normal.
-
-    Standardization is per point as in standardized_values; fewer than 100
-    usable records is an error.
-    """
-    z = np.sort(standardized_values(records, Delta, centering))
-    if len(z) < 100:
-        raise ValueError("need at least 100 usable records")
-    n = len(z)
-    cdf = ndtr(z)
-    steps = np.arange(n, dtype=float)
-    return float(max(np.max(steps / n + 1.0 / n - cdf), np.max(cdf - steps / n)))
+    """ks_distance of the record set's standardized_values."""
+    return ks_distance(standardized_values(records, Delta, centering))
 
 
 # ---------------------------------------------------------------------------
@@ -1078,30 +1128,30 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
     The integers stand in for heights, divisibility for insolubility:
     sigma_p = 1/p and Delta = 1, so the same reductions apply verbatim.
     Only the primes p <= sqrt(limit) are sieved: each counts at its
-    multiples and its powers are divided out of a remainder per integer.
+    multiples, and each of its powers multiplies the sqrt(limit)-smooth
+    part of its multiples by p, which stays exact since it is at most m.
     An integer <= limit has at most one prime factor above sqrt(limit), and
-    it has one exactly when the remainder left is above 1.
+    it has one exactly when its smooth part is below m.  The heights are
+    strictly increasing and no row is tainted.  Columns that would exceed
+    physical memory are refused with a ValueError before any is allocated.
     """
     if limit < max(low, 3):
         raise ValueError("limit too small")
     if low < 1:
         raise ValueError("low must be at least 1")
+    # int16 counts and int64 smooth parts over 0..limit, then int64 omegas
+    # and heights, a bool taint column and the bool comparison per row
+    size = limit - low + 1
+    check_fits_in_memory((limit + 1) * 10 + size * 18, f"omega(m) for m <= {limit}")
     om = np.zeros(limit + 1, np.int16)
-    rem = np.arange(limit + 1, dtype=np.int64)
+    smooth = np.ones(limit + 1, np.int64)
     for p in primes_up_to(math.isqrt(limit)).tolist():
         om[p::p] += 1
         q = p
         while q <= limit:
-            rem[q::q] //= p
+            smooth[q::q] *= p
             q *= p
-    om[rem > 1] += 1
     m = np.arange(low, limit + 1, dtype=np.int64)
-    return RecordSet(
-        CLASSIC_OMEGA,
-        limit,
-        (),
-        om[low:].astype(np.int64),
-        m,
-        np.zeros(len(m), bool),
-        0,
-    )
+    omegas = om[low:].astype(np.int64)
+    omegas += smooth[low:] < m
+    return RecordSet(CLASSIC_OMEGA, limit, (), omegas, m, np.zeros(size, bool), 0)

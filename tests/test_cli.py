@@ -3,11 +3,13 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +303,31 @@ def test_baseline_smallest_bound(tmp_path):
     code, out = run_cli(tmp_path, "baseline", "--B", "102")
     assert code == 0
     assert set(read_report(str(out) + ".baseline.csv")["ks"]) == {102}
+
+
+def test_baseline_report_bytes_are_pinned(tmp_path):
+    # every moment and KS row keeps its float bits when the reductions share
+    # the usable rows, centre and scale of one record set
+    code, out = run_cli(tmp_path, "baseline", "--B", "100000")
+    assert code == 0
+    blob = (tmp_path / "run.baseline.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "f81715e8dc6025daa7fb74a998b1289294010573ab3477f457bc6dbd0164f62e"
+    )
+
+
+def test_baseline_refuses_columns_above_physical_memory(tmp_path, capsys):
+    # 10^13 integers: refused before any column is allocated
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "baseline", "--B", "10000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10**7
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "physical memory" in err["detail"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
+from scipy.special import ndtr
 
 from fibstat import families, stats
 from fibstat.arith import factorize, primes_up_to
@@ -39,6 +40,8 @@ from fibstat.stats import (
     classic_omega_set,
     cubic_density_table,
     gaussian_distance,
+    ks_distance,
+    moment_series,
     moments,
     n_moments,
     moment_window,
@@ -493,6 +496,44 @@ def test_moments_drop_low_heights_and_taint():
     assert abs(rep.value - float(np.mean(z**2))) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["classic", "conics"])
+@pytest.mark.parametrize("centering", ["paper", "empirical"])
+def test_moment_series_matches_the_power_formula_bitwise(family, centering):
+    if family == "classic":
+        rs, Delta = classic_omega_set(10**5), 1
+        entries = {int(p): Fraction(1, int(p)) for p in primes_up_to(rs.B)}
+    else:
+        rs, Delta = sample_records(CONICS, 3000, 2000, seed=11), CONICS.Delta
+        entries = sigma_entries(CONICS, rs.B)
+    keep = ~rs.tainted & (rs.heights >= 3)
+    om = rs.omegas[keep].astype(float)
+    llB = math.log(math.log(rs.B))
+    if centering == "paper":
+        center = float(Delta) * llB
+    else:
+        center = _reference_prefix(entries)(rs.B)
+    scale = math.sqrt(float(Delta) * llB)
+    series = moment_series(rs, rs.B, Delta, 12, centering)
+    assert [rep.r for rep in series] == list(range(13))
+    for r, rep in enumerate(series):
+        assert rep.value == float(np.mean(((om - center) / scale) ** r)), r
+        assert rep == moments(rs, rs.B, Delta, r, centering)
+
+
+def test_moment_series_validation():
+    rs = classic_omega_set(500)
+    assert moment_series(rs, 500, 1, 0) == [moments(rs, 500, 1, 0)]
+    with pytest.raises(ValueError):
+        moment_series(rs, 500, 1, -1)
+    empty = rs.truncate_height(2)
+    assert [rep.value for rep in moment_series(empty, 500, 1, 0)] == [1.0]
+    with pytest.raises(ValueError, match="no usable records"):
+        moment_series(empty, 500, 1, 1)
+    fractional = dataclasses.replace(rs, omegas=rs.omegas + 0.5)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        moment_series(fractional, 500, 1, 2)
+
+
 def test_moments_validation():
     rs = classic_omega_set(500)
     with pytest.raises(ValueError, match="tau_histogram"):
@@ -674,6 +715,48 @@ def test_gaussian_distance_validation():
             gaussian_distance(empty, 1, centering=centering)
 
 
+def _ks_oracle(z):
+    """The KS distance written out on fresh arrays."""
+    z = np.sort(z)
+    n = len(z)
+    cdf = ndtr(z)
+    steps = np.arange(n, dtype=float)
+    return float(max(np.max(steps / n + 1.0 / n - cdf), np.max(cdf - steps / n)))
+
+
+def _standardized_oracle(rs, Delta, centering):
+    keep = ~rs.tainted & (rs.heights >= 3)
+    om, hts = rs.omegas[keep].astype(float), rs.heights[keep].astype(float)
+    llh = np.log(np.log(hts))
+    if centering == "paper":
+        center = float(Delta) * llh
+    else:
+        center = stats._center_sums(rs.family, hts)
+    return (om - center) / np.sqrt(float(Delta) * llh)
+
+
+@pytest.mark.parametrize("centering", ["paper", "empirical"])
+def test_baseline_stage_prefixes_match_truncated_sets(centering):
+    # the heights of the classic set rise strictly and no row is tainted, so
+    # the rows up to each baseline stage limit standardize to a prefix
+    B = 10**5
+    rs = classic_omega_set(B)
+    z = standardized_values(rs, 1, centering)
+    assert z.tolist() == _standardized_oracle(rs, 1, centering).tolist()
+    for limit in sorted({min(B, max(1000, B // k)) for k in (100, 10, 1)}):
+        k = int(np.searchsorted(rs.heights, limit, "right"))
+        cut = rs.truncate_height(limit)
+        assert ks_distance(z[:k]) == gaussian_distance(cut, 1, centering=centering)
+        assert ks_distance(z[:k]) == _ks_oracle(_standardized_oracle(cut, 1, centering))
+
+
+def test_ks_distance_leaves_its_input_alone():
+    z = np.random.default_rng(5).standard_normal(500)
+    before = z.copy()
+    assert ks_distance(z) == _ks_oracle(before)
+    assert z.tolist() == before.tolist()
+
+
 def test_gaussian_distance_classic_both_centerings():
     rs = classic_omega_set(20_000)
     paper = gaussian_distance(rs, 1, centering="paper")
@@ -774,16 +857,26 @@ def test_classic_omega_validation():
         classic_omega_set(10, low=0)
 
 
-# exact prime powers and prime squares are where the remainder test is tightest
+# exact prime powers and prime squares are where the smooth-part test is
+# tightest; (10**4, 1) covers every m <= 10^4
 @pytest.mark.parametrize(
     "limit, low",
     [(3, 3), (4, 1), (97, 3), (1000, 7), (10007, 3), (10007, 5000),
-     (2**13, 3), (2**13, 1), (101**2, 3), (101**2, 10000), (7**4, 7)],
+     (2**13, 3), (2**13, 1), (101**2, 3), (101**2, 10000), (7**4, 7), (10**4, 1)],
 )
 def test_classic_omega_matches_sympy(limit, low):
     rs = classic_omega_set(limit, low)
     assert rs.omegas.tolist() == [sympy.primenu(m) for m in range(low, limit + 1)]
     assert rs.heights.tolist() == list(range(low, limit + 1))
+
+
+def test_classic_omega_refuses_columns_above_physical_memory(monkeypatch):
+    def sieve(_):
+        raise AssertionError("sieved before the memory check")
+
+    monkeypatch.setattr(stats, "primes_up_to", sieve)
+    with pytest.raises(ValueError, match="physical memory"):
+        classic_omega_set(10**13)
 
 
 # ---------------------------------------------------------------------------
