@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,16 +29,25 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1)
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (empty for n < 2)."""
+    """All primes <= n as a read-only int64 array (empty for n < 2).
+
+    The last result is kept, so callers asking for the same bound in turn
+    (the classic omega sieve, then its sigma prefix table) share one sieve;
+    it is read-only because it is shared.
+    """
     if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+        primes = np.zeros(0, dtype=np.int64)
+    else:
+        sieve = np.ones(n + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.nonzero(sieve)[0].astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
 
 
 def smallest_prime_factors(n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import zeta
 
 from .arith import factorize, moebius_up_to, prime_support
 
@@ -41,6 +40,8 @@ __all__ = [
 
 def cn(n: int) -> float:
     """Leading density 2^n / zeta(n+1) of height-ordered points of P^n(Q)."""
+    from scipy.special import zeta  # here, so importing projective leaves scipy out
+
     return 2.0**n / float(zeta(n + 1))
 
 

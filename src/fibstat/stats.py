@@ -631,11 +631,26 @@ def _sigma_prefix(family: FamilyDescriptor, top: int) -> tuple[np.ndarray, np.nd
 
 
 def _center_sums(family: FamilyDescriptor, heights: np.ndarray) -> np.ndarray:
-    """Sum of sigma_p over p <= h for each height h, from the family's cached prefix table."""
+    """Sum of sigma_p over p <= h for each height h >= 0, from the family's cached prefix table.
+
+    Entry h reads csum[k] for the k table primes <= h.  Dense heights
+    (max(h) below twice their number, as in the classic set) gather from
+    that sum spelled out for every integer 0..max(h), csum[k] repeated over
+    the gap from the k-th prime to the next; sparse ones, such as a sample
+    at large B or the single height B, find k by binary search instead of
+    paying 8 bytes for every integer up to B.  Either way each entry is the
+    same csum[k].  Float heights holding integers are accepted.
+    """
     if not len(heights):
         return np.zeros(0)
-    ps, csum = _sigma_prefix(family, int(heights.max()))
-    return csum[np.searchsorted(ps, heights, side="right")]
+    top = int(heights.max())
+    ps, csum = _sigma_prefix(family, top)
+    if top >= 2 * len(heights):
+        return csum[np.searchsorted(ps, heights, side="right")]
+    check_fits_in_memory(8 * (top + 1), f"the sigma sums up to {top}")
+    k = int(np.searchsorted(ps, top, side="right"))
+    gaps = np.diff(ps[:k].astype(np.int64), prepend=0, append=top + 1)
+    return np.repeat(csum[: k + 1], gaps)[heights.astype(np.intp, copy=False)]
 
 
 def build_sigma_table(
@@ -974,9 +989,9 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
     _check_reduction(Delta, centering)
     om, hts = _usable(records)
     z = om.astype(float)
-    llh = hts.astype(float)
     if centering == "empirical":
-        z -= _center_sums(records.family, llh)
+        z -= _center_sums(records.family, hts)
+    llh = hts.astype(float)
     np.log(llh, out=llh)
     np.log(llh, out=llh)
     llh *= float(Delta)
@@ -1127,31 +1142,33 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
 
     The integers stand in for heights, divisibility for insolubility:
     sigma_p = 1/p and Delta = 1, so the same reductions apply verbatim.
-    Only the primes p <= sqrt(limit) are sieved: each counts at its
-    multiples, and each of its powers multiplies the sqrt(limit)-smooth
-    part of its multiples by p, which stays exact since it is at most m.
-    An integer <= limit has at most one prime factor above sqrt(limit), and
-    it has one exactly when its smooth part is below m.  The heights are
-    strictly increasing and no row is tainted.  Columns that would exceed
-    physical memory are refused with a ValueError before any is allocated.
+    Each prime p <= r = isqrt(limit) counts at its multiples.  An integer
+    <= limit has at most one prime factor above r, so each larger prime P
+    is counted through its cofactor k = m / P <= limit // (r + 1): for each
+    k, one pass adds 1 at k * P for the primes r < P <= limit // k, and no
+    index repeats within a pass.  The heights are strictly increasing and
+    no row is tainted.  Columns that would exceed physical memory are
+    refused with a ValueError before any is allocated.
     """
     if limit < max(low, 3):
         raise ValueError("limit too small")
     if low < 1:
         raise ValueError("low must be at least 1")
-    # int16 counts and int64 smooth parts over 0..limit, then int64 omegas
-    # and heights, a bool taint column and the bool comparison per row
+    # the prime sieve's bool and the int16 counts per integer 0..limit, the
+    # int64 primes (pi(x) < 1.26 x / log x) and one cofactor multiple of
+    # them, then int64 omegas and heights and a bool taint column per row
     size = limit - low + 1
-    check_fits_in_memory((limit + 1) * 10 + size * 18, f"omega(m) for m <= {limit}")
+    primes_bytes = 16 * int(1.26 * limit / math.log(limit))
+    check_fits_in_memory((limit + 1) * 3 + primes_bytes + size * 17, f"omega(m) for m <= {limit}")
+    ps = primes_up_to(limit)
+    r = math.isqrt(limit)
+    small = int(np.searchsorted(ps, r, side="right"))
     om = np.zeros(limit + 1, np.int16)
-    smooth = np.ones(limit + 1, np.int64)
-    for p in primes_up_to(math.isqrt(limit)).tolist():
+    for p in ps[:small].tolist():
         om[p::p] += 1
-        q = p
-        while q <= limit:
-            smooth[q::q] *= p
-            q *= p
-    m = np.arange(low, limit + 1, dtype=np.int64)
+    large = ps[small:]
+    for k in range(1, limit // (r + 1) + 1):
+        om[k * large[: np.searchsorted(large, limit // k, side="right")]] += 1
     omegas = om[low:].astype(np.int64)
-    omegas += smooth[low:] < m
+    m = np.arange(low, limit + 1, dtype=np.int64)
     return RecordSet(CLASSIC_OMEGA, limit, (), omegas, m, np.zeros(size, bool), 0)

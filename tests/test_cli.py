@@ -491,6 +491,13 @@ def test_cli_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_projective_import_leaves_scipy_out():
+    # only cn reads scipy (for zeta), and imports it when called
+    proc = _run_child("-c", "import sys, fibstat.projective; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_stats_leaves_family_lookup_to_cli():
     # record sets carry their family, so only the command line resolves names
     tree = ast.parse(inspect.getsource(stats))

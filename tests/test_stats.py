@@ -857,17 +857,28 @@ def test_classic_omega_validation():
         classic_omega_set(10, low=0)
 
 
-# exact prime powers and prime squares are where the smooth-part test is
-# tightest; (10**4, 1) covers every m <= 10^4
+# exact prime powers and prime squares sit on the small-prime sieve's edge;
+# a limit just below a prime square, the product of the primes either side
+# of sqrt(limit) and twice a large prime are where the cofactor passes over
+# the primes above sqrt(limit) are tightest; (10**4, 1) covers every m <= 10^4
 @pytest.mark.parametrize(
     "limit, low",
     [(3, 3), (4, 1), (97, 3), (1000, 7), (10007, 3), (10007, 5000),
-     (2**13, 3), (2**13, 1), (101**2, 3), (101**2, 10000), (7**4, 7), (10**4, 1)],
+     (2**13, 3), (2**13, 1), (101**2, 3), (101**2, 10000), (7**4, 7), (10**4, 1),
+     (101**2 - 1, 3), (101 * 103, 3), (2 * 4999, 3), (3, 1)],
 )
 def test_classic_omega_matches_sympy(limit, low):
     rs = classic_omega_set(limit, low)
     assert rs.omegas.tolist() == [sympy.primenu(m) for m in range(low, limit + 1)]
     assert rs.heights.tolist() == list(range(low, limit + 1))
+
+
+def test_primes_up_to_shares_its_last_sieve_read_only():
+    primes = primes_up_to(1000)
+    assert primes_up_to(1000) is primes
+    assert not primes.flags.writeable
+    with pytest.raises(ValueError):
+        primes[0] = 4
 
 
 def test_classic_omega_refuses_columns_above_physical_memory(monkeypatch):
@@ -881,6 +892,37 @@ def test_classic_omega_refuses_columns_above_physical_memory(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # empirical centering against the exact entries, summed one by one in prime order
+
+
+_CENTER_HEIGHTS = {
+    "ints": lambda: np.arange(3, 1000),
+    "floats": lambda: np.arange(3, 1000).astype(float),
+    "below first prime": lambda: np.array([0, 1, 2, 3, 0, 2]),
+    "one height": lambda: np.array([997]),
+    "one float height": lambda: np.array([997.0]),
+    "unsorted": lambda: np.random.default_rng(3).integers(0, 5000, 800),
+    "classic set": lambda: classic_omega_set(10**5).heights,
+}
+
+
+@pytest.mark.parametrize("family", [CLASSIC_OMEGA, CONICS], ids=["classic", "conics"])
+@pytest.mark.parametrize("cached_above", [False, True])
+@pytest.mark.parametrize("name", list(_CENTER_HEIGHTS))
+def test_center_sums_paths_match_binary_search(monkeypatch, family, cached_above, name):
+    # every integer up to max(h) appended makes the heights dense, one height
+    # far above the rest makes them sparse; on either path, and on h's own,
+    # h's entries read csum at the number of table primes <= h
+    monkeypatch.setattr(stats, "_SIGMA_PREFIX", {})
+    h = _CENTER_HEIGHTS[name]()
+    top = int(h.max())
+    if cached_above:
+        stats._sigma_prefix(family, 2 * top + 10**4)
+    dense = np.concatenate([h, np.arange(top + 1, dtype=h.dtype)])
+    sparse = np.concatenate([h, np.array([2 * len(h) + top + 2], h.dtype)])
+    for heights in (h, dense, sparse):
+        ps, csum = stats._sigma_prefix(family, int(heights.max()))
+        expect = csum[np.searchsorted(ps, heights, side="right")]
+        assert stats._center_sums(family, heights).tolist() == expect.tolist()
 
 
 def _reference_prefix(entries):
