@@ -540,7 +540,7 @@ def _cubic_verdicts(rep: int) -> np.ndarray:
     canonical = _canonical_digit_codes()
     status = np.full(9**4, 2, np.int8)
     reachable = (_code_digits(9, 4) % 3 < k).all(axis=1)
-    for code in np.unique(canonical[reachable]).tolist():
+    for code in sorted(set(canonical[reachable].tolist())):
         form = HomogeneousForm.diagonal(_rep_coeffs(code, rep), _CUBIC_FORM_DEGREE)
         status[code] = _RANKS.index(padic_point_search(form, rep).status)
     return status[canonical]

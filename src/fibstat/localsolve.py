@@ -69,19 +69,22 @@ def _unit_legendre(u: int, p: int) -> int:
 
 
 def _split(a: Rational, p: int) -> tuple[int, int]:
-    """a = p^alpha * u with u a p-adic unit; returns (alpha, squarefree core of u).
+    """a = p^alpha * u with u a p-adic unit; returns (alpha, rep // p^v(rep)).
 
-    The unit is represented by an integer in the same square class: for a
-    fraction n/d it is n*d with the p-part stripped.
+    rep is an integer in the square class of u: a itself for an integer, n*d
+    for a fraction n/d.  Stripping rep's p-part leaves a p-adic unit in the
+    same square class as u; it is not squarefree in general.
     """
+    if isinstance(a, int):
+        alpha = valuation(a, p)
+        return alpha, a // p**alpha
     frac = Fraction(a)
     rep = frac.numerator * frac.denominator
-    alpha = valuation(rep, p)
     # numerator and denominator valuations add: v(n/d) = v(n) - v(d), but the
     # square class of the unit part of n/d matches that of n*d / p^v(nd).
     vnum = valuation(frac.numerator, p)
     vden = valuation(frac.denominator, p)
-    return vnum - vden, rep // p**alpha
+    return vnum - vden, rep // p ** (vnum + vden)
 
 
 def hilbert(a: Rational, b: Rational, v: Place) -> int:

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .arith import check_fits_in_memory, prime_support, primes_up_to
 from .families import (
@@ -277,7 +276,7 @@ class _PlaceGrids:
         """
         held = 0
         for p, model, axes, keys, kept in self.places:
-            for key in np.unique(keys).tolist():
+            for key in sorted(set(keys.tolist())):
                 check_fits_in_memory(held + reserve, what)
                 kept[key] = self._parts(p, model, axes, *divmod(key, 2))
                 held += sum(m.nbytes for part in kept[key] for m in part[1:] if m is not None)
@@ -1002,24 +1001,142 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
     return z
 
 
+# The standard normal CDF, transcribed from Cephes (S. L. Moshier, ndtr.c:
+# ndtr, erf, erfc, polevl, p1evl; the coefficients as scipy.special carries
+# them in its cephes/ndtr.h).  Every operation runs in cephes' order on Python
+# floats, so a value equals scipy.special.ndtr's bit for bit, without the
+# import of scipy.
+
+_MAXLOG = 7.09782712893383996732e2
+_SQRTH = 7.07106781186547524401e-1
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """_polevl with a leading coefficient 1, which coef leaves out."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            y = z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+        else:
+            y = z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
+        if a < 0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0 else 0.0  # underflow
+
+
+def _ndtr(a: float) -> float:
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+# A block's bound may fall short of one of its terms by the port's departures
+# from monotone, a few ulp of Phi (~1e-16); blocks are refined down to this.
+_KS_SLACK = 1e-12
+
+
 def ks_distance(z: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between standardized values and the
-    standard normal.
+    standard normal: max over the sorted values x_0 <= ... <= x_{n-1} of
+    Phi(x_i) - i/n and i/n + 1/n - Phi(x_i).
 
-    z is left as it is: a sorted copy takes the normal CDF in place.  Fewer
-    than 100 values is an error.
+    Phi is _ndtr, a pure-Python port of ndtr.c from S. L. Moshier's Cephes
+    Math Library, with its coefficients as scipy.special carries them, and
+    only a few values take it.  The sorted column is cut into blocks of isqrt(n) values
+    and Phi is taken at each block's two ends.  Phi rises, so a block's terms
+    are at most Phi(hi) - lo/n and hi/n + 1/n - Phi(lo); only the blocks whose
+    bound reaches the largest term seen so far, less _KS_SLACK, are taken in
+    full, largest bound first.  The result equals the formula evaluated at
+    every value with scipy.special.ndtr, bit for bit.
+
+    z is left as it is.  Fewer than 100 values is an error.
     """
     n = len(z)
     if n < 100:
         raise ValueError("need at least 100 usable records")
-    cdf = np.sort(z)
-    ndtr(cdf, out=cdf)
-    steps = np.arange(n, dtype=float)
-    steps /= n
-    below = cdf - steps
-    steps += 1.0 / n
-    steps -= cdf
-    return float(max(np.max(steps), np.max(below)))
+    z = np.sort(z)
+    if math.isnan(z[-1]):
+        return math.nan
+    k = math.isqrt(n)
+    los = range(0, n, k)
+    his = [min(lo + k, n) - 1 for lo in los]
+    phi_lo = list(map(_ndtr, z[::k].tolist()))
+    phi_hi = list(map(_ndtr, z[his].tolist()))
+    step = 1.0 / n
+    best = max(
+        max(phi - i / n, i / n + step - phi)
+        for i, phi in zip([*los, *his], phi_lo + phi_hi)
+    )
+    bounds = sorted(
+        ((max(ph - lo / n, hi / n + step - pl), lo, hi)
+         for lo, hi, pl, ph in zip(los, his, phi_lo, phi_hi)),
+        reverse=True,
+    )
+    for bound, lo, hi in bounds:
+        if bound < best - _KS_SLACK:
+            break
+        for i, x in enumerate(z[lo : hi + 1].tolist(), lo):
+            phi = _ndtr(x)
+            best = max(best, phi - i / n, i / n + step - phi)
+    return best
 
 
 def gaussian_distance(records: RecordSet, Delta, centering: str = "paper") -> float:

@@ -491,6 +491,28 @@ def test_cli_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_runs_leave_scipy_out(tmp_path):
+    # ks_distance takes Phi from its own port of cephes ndtr, so no command
+    # on the run path imports any of scipy
+    runs = [
+        ["baseline", "--B", "20000"],
+        ["ekac", "--B", "1000", "--sample-size", "500", "--seed", "1"],
+        ["tau", "--family", "diagonal-cubics", "--B", "6", "--prime-cutoff", "13",
+         "--sample-size", "400", "--seed", "2"],
+    ]
+    out = str(tmp_path / "r")
+    script = (
+        "import sys\n"
+        "from fibstat.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main([*argv, '--output', {out!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = _run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_projective_import_leaves_scipy_out():
     # only cn reads scipy (for zeta), and imports it when called
     proc = _run_child("-c", "import sys, fibstat.projective; print('scipy' in sys.modules)")

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import legendre_symbol
 
-from fibstat import arith
+from fibstat import arith, localsolve
 from fibstat.arith import factorize, is_prime, jacobi, prime_support, primes_up_to, valuation
 from fibstat.families import (
     _RANKS,
@@ -369,6 +369,16 @@ def test_hilbert_square_invariance_and_norm_identities():
 def test_hilbert_accepts_fractions():
     assert hilbert(Fraction(1, 2), 7, 2) == hilbert(2, 7, 2)
     assert hilbert(Fraction(-9, 4), Fraction(5, 49), 5) == hilbert(-1, 5, 5)
+
+
+def test_split_integer_path_matches_fraction_path():
+    # an integer takes a fast path; the same value as a Fraction takes the
+    # general one, and both give the valuation and the stripped unit
+    for p in (2, 3, 5, 7):
+        for a in [*range(-200, 0), *range(1, 200), 2**40 * 3, -(5**9) * 11, 7**12]:
+            assert localsolve._split(a, p) == localsolve._split(Fraction(a), p)
+            alpha, u = localsolve._split(a, p)
+            assert a == p**alpha * u and u % p != 0
 
 
 def test_hilbert_rejects_zero():

@@ -757,6 +757,53 @@ def test_ks_distance_leaves_its_input_alone():
     assert z.tolist() == before.tolist()
 
 
+def _ulps_around(x, count):
+    """x and the count floats on either side of it."""
+    up, down = [x], [x]
+    for _ in range(count):
+        up.append(float(np.nextafter(up[-1], np.inf)))
+        down.append(float(np.nextafter(down[-1], -np.inf)))
+    return down[::-1] + up[1:]
+
+
+def test_ndtr_port_matches_scipy_bit_for_bit():
+    # the edges of every branch: ndtr's |a| = 1 (|x| = sqrt(1/2)), erf and
+    # erfc's |x| = 1, erfc's |x| = 8, the MAXLOG underflow, and zero
+    edges = [1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * stats._MAXLOG), 1e-300, 0.0]
+    grid = [s * v for e in edges for v in _ulps_around(e, 300) for s in (1.0, -1.0)]
+    grid += np.linspace(-45, 45, 90_001).tolist()
+    grid += np.linspace(-3, 3, 30_001).tolist() + [math.inf, -math.inf, 38.5, -38.5, 50.0, -50.0]
+    x = np.array(grid)
+    want = ndtr(x)
+    got = np.array([stats._ndtr(v) for v in grid])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # -0.0 and 0.0 differ here
+
+
+@pytest.mark.parametrize(
+    "n, draw",
+    [
+        (100, lambda rng, n: rng.standard_normal(n)),
+        (99**2, lambda rng, n: rng.standard_normal(n)),
+        (99**2 + 1, lambda rng, n: rng.standard_normal(n)),  # a last block of one value
+        (2500, lambda rng, n: np.full(n, rng.standard_normal())),
+        (2501, lambda rng, n: rng.integers(-3, 4, n) / 2.0),  # heavy ties
+        (3000, lambda rng, n: np.concatenate([rng.standard_normal(n - 40), rng.uniform(38, 60, 40)])
+         * rng.choice([-1.0, 1.0], n)),  # tails past |z| = 38, where Phi is 0 or 1
+        (1000, lambda rng, n: rng.standard_normal(n) + 0.3),
+    ],
+)
+def test_ks_distance_screen_matches_oracle(n, draw):
+    for seed in range(5):
+        z = draw(np.random.default_rng(seed), n)
+        assert ks_distance(z) == _ks_oracle(z)
+
+
+def test_ks_distance_of_a_nan_is_nan():
+    z = np.random.default_rng(3).standard_normal(400)
+    z[17] = np.nan
+    assert math.isnan(ks_distance(z)) and math.isnan(_ks_oracle(z))
+
+
 def test_gaussian_distance_classic_both_centerings():
     rs = classic_omega_set(20_000)
     paper = gaussian_distance(rs, 1, centering="paper")
