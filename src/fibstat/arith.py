@@ -35,11 +35,14 @@ def primes_up_to(n: int) -> np.ndarray:
 
     The last result is kept, so callers asking for the same bound in turn
     (the classic omega sieve, then its sigma prefix table) share one sieve;
-    it is read-only because it is shared.
+    it is read-only because it is shared.  A sieve above physical memory
+    raises ValueError before anything is allocated.
     """
     if n < 2:
         primes = np.zeros(0, dtype=np.int64)
     else:
+        # the bool sieve, then the int64 primes (pi(n) < 1.26 n / log n)
+        check_fits_in_memory(n + 1 + 8 * int(1.26 * n / math.log(n)), f"the primes up to {n}")
         sieve = np.ones(n + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, math.isqrt(n) + 1):

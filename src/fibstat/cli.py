@@ -393,7 +393,10 @@ def _run_sigma(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     if fam.sigma_p is None:
         raise ConfigError(f"sigma needs a family with exact entries; {fam.name} has none")
-    entries = sigma_entries(fam, cfg.B)
+    try:
+        entries = sigma_entries(fam, cfg.B)
+    except ValueError as exc:  # a prime sieve above physical memory
+        raise ConfigError(str(exc)) from exc
     if len(entries) < 25:
         raise ConfigError(f"sigma needs B large enough for at least 25 primes above {fam.A}")
     fit = sigma_partial_sums(entries, fam.Delta)
@@ -436,8 +439,15 @@ def _run_ekac(cfg: RunConfig):
     except ValueError as exc:  # a sample whose arrays exceed physical memory
         raise ConfigError(str(exc)) from exc
     _taint_check(rs.tainted_count, len(rs.omegas))
-    rows = _moment_rows(rs, cfg, fam.Delta)
-    z = standardized_values(rs, fam.Delta, centering=cfg.centering)
+    try:
+        rows = _moment_rows(rs, cfg, fam.Delta)
+        z = standardized_values(rs, fam.Delta, centering=cfg.centering)
+    except ValueError as exc:  # no usable row, or an empirical centre's sieve too large
+        raise ConfigError(str(exc)) from exc
+    if len(z) < 100:
+        raise ConfigError(
+            f"ekac needs at least 100 usable rows (untainted, height >= 3), got {len(z)}"
+        )
     ks = ks_distance(z)
     rows.append(("ks", None, ks, None, None))
     counts, edges = np.histogram(z, bins=HIST_BINS, range=HIST_RANGE)

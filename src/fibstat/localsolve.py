@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -151,13 +151,29 @@ def is_kth_power_residue(a: int, p: int, k: int) -> bool:
 # homogeneous forms and the residue-tree search
 
 
+Poly = dict[tuple[int, ...], int]  # exponent tuple -> nonzero integer coefficient
+
+
+def _collect(terms: Iterable[tuple[tuple[int, ...], int]]) -> Poly:
+    """Sum the coefficients of equal exponents and drop the zeros."""
+    out: Poly = {}
+    for exps, c in terms:
+        out[exps] = out.get(exps, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
 @dataclass(frozen=True)
 class HomogeneousForm:
-    """An integer homogeneous form, stored as (coefficient, exponent) monomials."""
+    """An integer homogeneous form, given as (coefficient, exponent) monomials.
+
+    terms merges the monomials once into the term map every evaluation and
+    the search read; equality and hashing stay on the given fields.
+    """
 
     nvars: int
     degree: int
     monomials: tuple[tuple[int, tuple[int, ...]], ...]
+    terms: Poly = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.monomials:
@@ -167,6 +183,7 @@ class HomogeneousForm:
                 raise ValueError("zero coefficient")
             if len(exps) != self.nvars or sum(exps) != self.degree:
                 raise ValueError("monomial degree mismatch")
+        object.__setattr__(self, "terms", _collect((e, c) for c, e in self.monomials))
 
     @staticmethod
     def diagonal(coeffs: Iterable[int], degree: int) -> "HomogeneousForm":
@@ -180,10 +197,10 @@ class HomogeneousForm:
         return HomogeneousForm(len(coeffs), degree, tuple(mons))
 
     def evaluate(self, vec: Iterable[int]) -> int:
-        return _poly_eval(_form_to_poly(self), tuple(vec))
+        return _poly_eval(self.terms, tuple(vec))
 
     def partial(self, i: int) -> Optional["HomogeneousForm"]:
-        mons = tuple((c, e) for e, c in _poly_partial(_form_to_poly(self), i).items())
+        mons = tuple((c, e) for e, c in _poly_partial(self.terms, i).items())
         if not mons:
             return None
         return HomogeneousForm(self.nvars, self.degree - 1, mons)
@@ -209,16 +226,6 @@ class SolubilityVerdict:
         raise TypeError("compare verdict.status explicitly")
 
 
-Poly = dict[tuple[int, ...], int]  # exponent tuple -> integer coefficient
-
-
-def _form_to_poly(form: HomogeneousForm) -> Poly:
-    poly: Poly = {}
-    for c, exps in form.monomials:
-        poly[exps] = poly.get(exps, 0) + c
-    return {e: c for e, c in poly.items() if c != 0}
-
-
 def _poly_eval(poly: Poly, vec: tuple[int, ...]) -> int:
     total = 0
     for exps, c in poly.items():
@@ -231,19 +238,19 @@ def _poly_eval(poly: Poly, vec: tuple[int, ...]) -> int:
 
 
 def _poly_partial(poly: Poly, i: int) -> Poly:
-    out: Poly = {}
-    for exps, c in poly.items():
-        if exps[i] > 0:
-            new = list(exps)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, 0) + c * exps[i]
-    return {e: c for e, c in out.items() if c != 0}
+    return _collect(
+        (e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in poly.items() if e[i]
+    )
+
+
+def _hensel(fval: int, dval: int, p: int) -> bool:
+    """Hensel's inequality: F = 0, or dF_i != 0 and v_p(F) > 2 v_p(dF_i)."""
+    return fval == 0 or (dval != 0 and valuation(fval, p) > 2 * valuation(dval, p))
 
 
 def _poly_substitute(poly: Poly, assign: dict[int, int], p: int) -> Poly:
     """y_i -> assign[i] + p*y_i for assigned variables (others untouched)."""
-    out: Poly = {}
+    out = []
     for exps, c in poly.items():
         # expand each assigned variable's power by the binomial theorem
         terms = [(c, list(exps))]
@@ -260,15 +267,8 @@ def _poly_substitute(poly: Poly, assign: dict[int, int], p: int) -> Poly:
                     ne[i] = j
                     new_terms.append((coef * binom * r ** (e - j) * p**j, ne))
             terms = new_terms
-        for coef, ex in terms:
-            if coef:
-                key = tuple(ex)
-                out[key] = out.get(key, 0) + coef
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _min_valuation(poly: Poly, p: int) -> int:
-    return min(valuation(c, p) for c in poly.values())
+        out.extend((tuple(ex), coef) for coef, ex in terms)
+    return _collect(out)
 
 
 class _Budget:
@@ -338,63 +338,57 @@ def _reconstruct(base: list[int], scale: list[int], y: dict[int, int]) -> tuple[
     return tuple(b + s * y.get(i, 0) for i, (b, s) in enumerate(zip(base, scale)))
 
 
-def _original_certificate(
-    form: HomogeneousForm, p: int, point: tuple[int, ...]
-) -> Optional[tuple[tuple[int, ...], int, int]]:
-    """Witness (point mod p^k, k, i) if the Hensel inequality holds at point."""
-    fval = form.evaluate(point)
-    best = None
-    for i in range(form.nvars):
-        partial = form.partial(i)
-        if partial is None:
-            continue
-        dval = partial.evaluate(point)
-        if dval == 0:
-            continue
-        vd = valuation(dval, p)
-        if best is None or vd < best[1]:
-            best = (i, vd)
-    if best is None:
-        return None
-    i, vd = best
-    if fval == 0 or valuation(fval, p) > 2 * vd:
-        k = 2 * vd + 1
-        return (tuple(v % p**k for v in point), k, i)
-    return None
-
-
 class _Search:
     def __init__(self, form: HomogeneousForm, p: int, depth_bound: int, budget: _Budget):
         self.form = form
+        self.partials = [_poly_partial(form.terms, i) for i in range(form.nvars)]
         self.p = p
         self.depth_bound = depth_bound
         self.budget = budget
         self.depth_seen = 1
         self.witness: Optional[tuple[tuple[int, ...], int, int]] = None
 
-    def _exact_witness(self, point: tuple[int, ...]) -> None:
-        # an exact zero: certified if some partial is nonzero, else kept as is
-        wit = _original_certificate(self.form, self.p, point)
-        k = wit[1] if wit else self.depth_bound
-        self.witness = wit or (tuple(v % self.p**k for v in point), k, 0)
+    def _original_certificate(
+        self, point: tuple[int, ...]
+    ) -> Optional[tuple[tuple[int, ...], int, int]]:
+        """Witness (point mod p^k, k, i) if the Hensel inequality holds at
+        point for the partial of least valuation (the first on a tie)."""
+        p = self.p
+        vals = [
+            (valuation(d, p), i, d)
+            for i, t in enumerate(self.partials)
+            if (d := _poly_eval(t, point))
+        ]
+        if not vals:
+            return None
+        vd, i, d = min(vals)
+        if not _hensel(_poly_eval(self.form.terms, point), d, p):
+            return None
+        k = 2 * vd + 1
+        return (tuple(v % p**k for v in point), k, i)
 
     def _newton_witness(
         self, poly: Poly, y: dict[int, int], i: int, base: list[int], scale: list[int]
     ) -> bool:
-        """Refine an affine Hensel certificate until the original form certifies."""
+        """Refine an affine Hensel certificate until the original form certifies.
+
+        An exact zero with no certificate (every partial vanishes there) is
+        kept as it is, at the depth bound.
+        """
         p = self.p
         yy = dict(y)
         dpoly = _poly_partial(poly, i)
         for _ in range(48):
             point = _reconstruct(base, scale, yy)
-            wit = _original_certificate(self.form, p, point)
+            wit = self._original_certificate(point)
             if wit is not None:
                 self.witness = wit
                 return True
             yt = tuple(yy.get(j, 0) for j in range(len(scale)))
             w = _poly_eval(poly, yt)
             if w == 0:
-                self._exact_witness(point)
+                k = self.depth_bound
+                self.witness = (tuple(v % p**k for v in point), k, 0)
                 return True
             d = _poly_eval(dpoly, yt)
             if d == 0:
@@ -420,7 +414,7 @@ class _Search:
         """
         p = self.p
         self.depth_seen = max(self.depth_seen, self.depth_bound - depth_left)
-        g = _min_valuation(poly, p)
+        g = min(valuation(c, p) for c in poly.values())
         if g:
             poly = {e: c // p**g for e, c in poly.items()}
         res = _mod_p_zeros(poly, p, self.budget)
@@ -434,15 +428,12 @@ class _Search:
             y = {v: int(r) for v, r in zip(active, row)}
             yt = tuple(y.get(j, 0) for j in range(nvars))
             w = _poly_eval(poly, yt)
-            if w == 0:
-                self._exact_witness(_reconstruct(base, scale, y))
+            # an exact zero passes the test at i = 0, and _newton_witness keeps it
+            if any(
+                _hensel(w, _poly_eval(d, yt), p) and self._newton_witness(poly, y, i, base, scale)
+                for i, d in enumerate(partials)
+            ):
                 return Solubility.SOLUBLE
-            vw = valuation(w, p)
-            for i in range(nvars):
-                d = _poly_eval(partials[i], yt)
-                if d != 0 and vw > 2 * valuation(d, p):
-                    if self._newton_witness(poly, y, i, base, scale):
-                        return Solubility.SOLUBLE
             if depth_left <= 0 or self.budget.spend(nodes=1):
                 any_unknown = True
                 continue
@@ -487,13 +478,12 @@ def padic_point_search(
     if depth_bound < 1:
         raise ValueError("depth bound must be >= 1")
     search = _Search(form, p, depth_bound, _Budget(node_budget, 40_000_000))
-    poly = _form_to_poly(form)
     m = form.nvars
     any_unknown = False
     for i in range(m):
         # x_i = 1 is injective on the monomials of a homogeneous form, so the
         # chart polynomial keeps every term and never vanishes
-        chart = {e[:i] + (0,) + e[i + 1 :]: c * p ** sum(e[:i]) for e, c in poly.items()}
+        chart = {e[:i] + (0,) + e[i + 1 :]: c * p ** sum(e[:i]) for e, c in form.terms.items()}
         base = [int(j == i) for j in range(m)]
         scale = [p] * i + [0] + [1] * (m - i - 1)
         st = search.run_affine(chart, base, scale, depth_bound - 1)
@@ -516,12 +506,4 @@ def verify_certificate(form: HomogeneousForm, p: int, verdict: SolubilityVerdict
     if not any(vec):
         return False
     fval = form.evaluate(vec)
-    if fval == 0:
-        return True
-    partial = form.partial(i)
-    if partial is None:
-        return False
-    dval = partial.evaluate(vec)
-    if dval == 0:
-        return False
-    return valuation(fval, p) > 2 * valuation(dval, p)
+    return fval == 0 or _hensel(fval, _poly_eval(_poly_partial(form.terms, i), vec), p)

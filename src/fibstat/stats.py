@@ -317,6 +317,25 @@ def _smooth_leads(n: int, B: int) -> Iterator[tuple[int, np.ndarray]]:
         yield lead, mask
 
 
+def _warm_scan(
+    family: FamilyDescriptor, B: int, S: tuple, reserve: int
+) -> tuple[_PlaceGrids, Iterator[tuple[int, np.ndarray]]]:
+    """The place grids of a scan at B, warmed on the calling thread, and its
+    walk over the smooth leads.
+
+    reserve is what the caller holds besides the kept verdict masks; both
+    are checked against physical memory (ValueError) before each key warm
+    decides, so a scan too large to walk is refused before its first grid.
+    """
+    if B < 3:
+        raise ValueError("need B >= 3")
+    what = f"a scan at B={B}"
+    check_fits_in_memory(reserve, what)
+    places = _PlaceGrids(family, B, S)
+    places.warm(reserve, what)
+    return places, _smooth_leads(family.n, B)
+
+
 def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
@@ -330,21 +349,15 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     the rows filled, so no column is held twice; columns above physical
     memory raise ValueError before anything is allocated.
     """
-    if B < 3:
-        raise ValueError("need B >= 3")
     S = tuple(S)
     n = family.n
     size = count_points(n, B)
     columns = (np.int64, np.int64, bool)  # omegas, heights, tainted
-    nbytes = size * sum(np.dtype(t).itemsize for t in columns)
-    what = f"a scan at B={B}"
-    check_fits_in_memory(nbytes, what)
-    places = _PlaceGrids(family, B, S)
-    places.warm(nbytes, what)
+    places, leads = _warm_scan(family, B, S, size * sum(np.dtype(t).itemsize for t in columns))
     omegas, heights, tainted = (np.empty(size, t) for t in columns)
     tail_height = functools.reduce(np.maximum, map(np.abs, _tail_axes(n, B))).ravel()
     filled = 0
-    for lead, keep in _smooth_leads(n, B):
+    for lead, keep in leads:
         idx = np.flatnonzero(keep)
         omega, taint = places.lead(lead)
         end = filled + len(idx)
@@ -424,25 +437,16 @@ def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> 
     kept verdict masks exceed physical memory raises ValueError before its
     first grid.
     """
-    if B < 3:
-        raise ValueError("need B >= 3")
     if threads < 1:
         raise ValueError("need threads >= 1")
     n = family.n
     workers = min(threads, B)
     # the shared nonzero mask, and each thread's grids
-    reserve = (1 + workers * _WALK_BYTES) * (2 * B + 1) ** n
-    what = f"a scan at B={B}"
-    check_fits_in_memory(reserve, what)
-    places = _PlaceGrids(family, B, tuple(S))
-    places.warm(reserve, what)
-    walk, lock = _smooth_leads(n, B), threading.Lock()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_tally_leads, places, walk, lock) for _ in range(workers)]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [_tally_leads(places, walk, lock)]
+    places, walk = _warm_scan(family, B, tuple(S), (1 + workers * _WALK_BYTES) * (2 * B + 1) ** n)
+    lock = threading.Lock()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_tally_leads, places, walk, lock) for _ in range(workers)]
+        parts = [f.result() for f in futures]
     counts = sum(p[0] for p in parts).tolist()
     while counts and not counts[-1]:
         counts.pop()
@@ -556,11 +560,8 @@ def sample_records(
     workers = min(threads, len(jobs))
     per_worker = math.ceil(len(rows) / (workers * _BLOCK_ROWS))
     blocks = np.array_split(rows, workers * per_worker)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda blk: _sample_block(family, blk, S), blocks))
-    else:
-        parts = [_sample_block(family, blk, S) for blk in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda blk: _sample_block(family, blk, S), blocks))
     return RecordSet(
         family,
         B,

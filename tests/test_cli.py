@@ -330,6 +330,33 @@ def test_baseline_refuses_columns_above_physical_memory(tmp_path, capsys):
     assert err["kind"] == "config" and "physical memory" in err["detail"]
 
 
+@pytest.mark.parametrize("args", [("ekac", "--sample-size", "200"), ("sigma",)])
+def test_prime_sieve_above_physical_memory_is_refused(tmp_path, capsys, args):
+    # the empirical centre and the sigma entries sieve the primes up to
+    # 10^13: refused before the sieve is allocated
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, *args, "--B", "10000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10**7
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "physical memory" in err["detail"]
+
+
+@pytest.mark.parametrize("args", [
+    ("--B", "4", "--sample-size", "100"),  # rows of height below 3 are dropped
+    ("--B", "100", "--sample-size", "50"),
+    ("--B", "3", "--sample-size", "1", "--seed", "7"),  # its one row has height 2
+])
+def test_ekac_refuses_fewer_than_100_usable_rows(tmp_path, capsys, args):
+    code, _ = run_cli(tmp_path, "ekac", *args)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
 # ---------------------------------------------------------------------------
 # config validation and manifests
 

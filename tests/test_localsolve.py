@@ -10,6 +10,7 @@ The load-bearing oracles here are independent of the code under test:
 * exhaustive residue sets for power-residue checks.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -222,6 +223,12 @@ def test_prime_support_grows_the_spf_table(monkeypatch):
     assert len(arith._spf_cache) == limit + 1
     for k, v in enumerate(near.tolist()):
         assert prime[index == k].tolist() == sorted(factorize(v)), v
+
+
+def test_primes_up_to_refuses_a_sieve_above_physical_memory():
+    with pytest.raises(ValueError, match="physical memory"):
+        primes_up_to(10**13)
+    assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_is_prime_raises_past_its_proven_bound():
@@ -838,3 +845,42 @@ def test_large_prime_charts_walk_the_grid_in_blocks():
     q = 262147  # 3 mod 8, so 2 is no square mod q
     form = HomogeneousForm.diagonal([1, -2], 2)
     assert padic_point_search(form, q).status is Solubility.INSOLUBLE
+
+
+def _pinned_searches():
+    """(form, p, depth_bound) for every search the digest below pins."""
+    for p in (2, 3, 7):  # the verdict-table classes, also cut short at depths 1 and 2
+        for form in _cubic_class_forms(p).values():
+            for depth_bound in (None, 1, 2):
+                yield form, p, depth_bound
+    for p in (2, 3, 5, 7, 11, 13):
+        choices = sorted({1, 2, 3, p, 2 * p, p * p})
+        for degree, m in ((2, 3), (3, 4)):
+            for coeffs in itertools.product(choices, repeat=m):
+                yield HomogeneousForm.diagonal(coeffs, degree), p, None
+    # x^3 + y^3 + z^3 + xyz + 8 w^3 + x^2 w, written with a repeated w^3 and
+    # a cancelling y z^2 term, so the default depth bound reads the monomials
+    # as given
+    cubic = HomogeneousForm(4, 3, (
+        (1, (3, 0, 0, 0)), (1, (0, 3, 0, 0)), (1, (0, 0, 3, 0)), (1, (1, 1, 1, 0)),
+        (2, (0, 0, 0, 3)), (6, (0, 0, 0, 3)), (1, (2, 0, 0, 1)),
+        (3, (0, 1, 2, 0)), (-3, (0, 1, 2, 0)),
+    ))
+    for p in (2, 3, 5, 7):
+        yield cubic, p, None
+
+
+def test_search_verdicts_and_witnesses_are_pinned():
+    # The digest was computed from the search as it stood before its forms
+    # kept one term map and its Hensel test became one predicate; every
+    # status, depth_reached and witness is unchanged since.
+    digest = hashlib.sha256()
+    count = 0
+    for form, p, depth_bound in _pinned_searches():
+        v = padic_point_search(form, p, depth_bound)
+        digest.update(repr((v.status.value, v.depth_reached, v.witness)).encode())
+        count += 1
+    assert count == 7467
+    assert digest.hexdigest() == (
+        "3e4b9ed8d014b2ec86567ecde6a04d96b3c4b604d4e2d59994eec668c1b3d6a4"
+    )
