@@ -69,8 +69,12 @@ def smallest_prime_factors(n: int) -> np.ndarray:
 
 
 def moebius_up_to(n: int) -> np.ndarray:
-    """mu[k] for 0 <= k <= n via a squarefree sieve (mu[0] = 0)."""
-    mu = np.ones(n + 1, dtype=np.int64)
+    """mu[k] for 0 <= k <= n as int8 via a squarefree sieve (mu[0] = 0).
+
+    A column above physical memory raises ValueError before it is allocated.
+    """
+    check_fits_in_memory(n + 1, f"the Moebius function up to {n}")
+    mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     if n < 2:
         return mu

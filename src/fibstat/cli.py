@@ -373,7 +373,10 @@ def _run_enumerate(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     if cfg.B < 1:
         raise ConfigError("enumerate needs B >= 1")
-    count = count_points(fam.n, cfg.B)
+    try:
+        count = count_points(fam.n, cfg.B)
+    except ValueError as exc:  # a Moebius sieve above physical memory
+        raise ConfigError(str(exc)) from exc
     verified = False
     if count <= 200_000:
         # cheap enough to cross-check the closed-form count against the stream
@@ -576,9 +579,11 @@ def _run_baseline(cfg: RunConfig):
     # is tainted, so every row is usable and the rows of height <= limit
     # standardize to the prefix z[:k]
     z = standardized_values(rs, 1, centering=cfg.centering)
+    ends = np.searchsorted(rs.heights, stages, "right").tolist()
+    # the columns are done with: ks_distance's sorted copy takes their place
+    del rs
     ks_at = {}
-    for limit in stages:
-        k = int(np.searchsorted(rs.heights, limit, "right"))
+    for limit, k in zip(stages, ends):
         ks_at[limit] = ks_distance(z[:k])
         rows.append(("ks", limit, ks_at[limit], None, None))
     meta = {"B": cfg.B, "centering": cfg.centering, "family": "classic_omega"}

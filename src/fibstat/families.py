@@ -492,6 +492,9 @@ def _cube_class_table(p: int) -> np.ndarray:
     """cls[u mod k] is the cube class of the unit u, k = 9, p or 1 as p = 3, 1 or 2 mod 3.
 
     For p = 2 mod 3 every unit is a cube, so one entry serves them all.
+    For p = 1 mod 3 the cubes u^3 of the units (exact in int64 for
+    p < 3.03e9) are class 0, their products with _smallest_noncube(p)
+    class 1, and the rest, 0 included, class 2.
     """
     if p == 3:
         table = np.full(9, -1, dtype=np.int8)
@@ -500,10 +503,12 @@ def _cube_class_table(p: int) -> np.ndarray:
         return table
     if p % 3 != 1:
         return np.zeros(1, dtype=np.int8)
-    e = (p - 1) // 3
-    power = np.array([pow(u, e, p) for u in range(p)])
-    noncube = pow(_smallest_noncube(p), e, p)
-    return np.where(power == 1, 0, np.where(power == noncube, 1, 2)).astype(np.int8)
+    u = np.arange(1, p, dtype=np.int64)
+    cubes = u * u % p * u % p
+    table = np.full(p, 2, dtype=np.int8)
+    table[cubes] = 0
+    table[cubes * _smallest_noncube(p) % p] = 1
+    return table
 
 
 _RANKS = (Solubility.SOLUBLE, Solubility.INSOLUBLE, Solubility.UNKNOWN)

@@ -105,6 +105,8 @@ class RecordSet:
     enumerated or sampled point is a row, a singular fibre, or nothing.
     family is the FamilyDescriptor that produced the rows (CLASSIC_OMEGA
     for the classic cross-check); empirical centering reads its sigma_p.
+    omegas may be any non-negative integer dtype: int8 for the classic
+    set, int64 for scans and samples.
     """
 
     family: FamilyDescriptor
@@ -634,23 +636,24 @@ def _center_sums(family: FamilyDescriptor, heights: np.ndarray) -> np.ndarray:
     """Sum of sigma_p over p <= h for each height h >= 0, from the family's cached prefix table.
 
     Entry h reads csum[k] for the k table primes <= h.  Dense heights
-    (max(h) below twice their number, as in the classic set) gather from
-    that sum spelled out for every integer 0..max(h), csum[k] repeated over
-    the gap from the k-th prime to the next; sparse ones, such as a sample
-    at large B or the single height B, find k by binary search instead of
-    paying 8 bytes for every integer up to B.  Either way each entry is the
-    same csum[k].  Float heights holding integers are accepted.
+    (a span max(h) - min(h) below twice their number, as in a block of the
+    classic set) gather from that sum spelled out for every integer from
+    min(h) to max(h), csum[k] repeated over the gap from the k-th prime to
+    the next; sparse ones, such as a sample at large B or the single height
+    B, find k by binary search instead of paying 8 bytes for every integer
+    of the span.  Either way each entry is the same csum[k].  Float heights
+    holding integers are accepted.
     """
     if not len(heights):
         return np.zeros(0)
-    top = int(heights.max())
+    bottom, top = int(heights.min()), int(heights.max())
     ps, csum = _sigma_prefix(family, top)
-    if top >= 2 * len(heights):
+    if top - bottom >= 2 * len(heights):
         return csum[np.searchsorted(ps, heights, side="right")]
-    check_fits_in_memory(8 * (top + 1), f"the sigma sums up to {top}")
-    k = int(np.searchsorted(ps, top, side="right"))
-    gaps = np.diff(ps[:k].astype(np.int64), prepend=0, append=top + 1)
-    return np.repeat(csum[: k + 1], gaps)[heights.astype(np.intp, copy=False)]
+    check_fits_in_memory(8 * (top - bottom + 1), f"the sigma sums from {bottom} to {top}")
+    lo, hi = np.searchsorted(ps, [bottom, top], side="right").tolist()
+    gaps = np.diff(ps[lo:hi].astype(np.int64), prepend=bottom, append=top + 1)
+    return np.repeat(csum[lo : hi + 1], gaps)[(heights - bottom).astype(np.intp, copy=False)]
 
 
 def build_sigma_table(
@@ -722,6 +725,11 @@ def sigma_partial_sums(sigma, Delta, cutoffs: Optional[Sequence[int]] = None) ->
 # moments
 
 
+# rows per block in standardized_values and moment_series: each float
+# temporary of a block takes 512 KiB, whatever the number of rows
+_BLOCK = 1 << 16
+
+
 def _mu_reference(r: int) -> float:
     if r % 2:
         return 0.0
@@ -767,11 +775,13 @@ def moment_series(
     cached prefix table, so repeated calls take no exact sigma_p twice.
 
     The usable rows, the centre and the scale are found once for every r.
-    omega is an integer count, so each order raises the standardized value
-    of every count 0..max(omega) once and gathers it per row: a row's term
-    goes through the same float operations as ((omega - center) / scale) ** r
-    and the mean sees the same terms in the same order, so each value is
-    that formula's bit for bit.  The r = 0 entry is 1 whatever the rows.
+    omega is an integer count of any dtype, so each order raises the
+    standardized value of every count 0..max(omega) once and gathers it per
+    row, _BLOCK rows at a time, into one float buffer reused for every r: a
+    row's term goes through the same float operations as
+    ((omega - center) / scale) ** r and the mean sees the same terms in the
+    same order, so each value is that formula's bit for bit.  The r = 0
+    entry is 1 whatever the rows.
     """
     _check_reduction(Delta, centering)
     if r_max < 0 or int(r_max) != r_max:
@@ -791,8 +801,16 @@ def moment_series(
         center = float(_center_sums(records.family, np.array([B]))[0])
     scale = math.sqrt(float(Delta) * llB)
     base = (np.arange(int(om.max()) + 1) - center) / scale
+    terms = np.empty(len(om))
     for r in range(1, int(r_max) + 1):
-        value = float(np.mean((base**r)[om]))
+        table = base**r
+        # a narrow index is cast to intp a block at a time, not through
+        # numpy's buffered fancy-index iterator; every index is in range, so
+        # "clip" changes no value and spares take a buffered copy of out
+        for lo in range(0, len(om), _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            np.take(table, om[blk].astype(np.intp, copy=False), out=terms[blk], mode="clip")
+        value = float(np.mean(terms))
         reports.append(MomentReport(B, r, value, centering, _mu_reference(r)))
     return reports
 
@@ -982,23 +1000,32 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
     sigma_p over p <= H ("empirical", read off the same cached prefix table
     as moment_series).  Tainted rows and heights below 3 are dropped; with
     no row left the result is empty under either centering.  The result is
-    a fresh array, rows in the set's order; a row's value depends on its
-    own omega and height only.  It is worked out in place in two float
-    columns, with the same operations per element as the formula above.
+    a fresh float array, rows in the set's order; a row's value depends on
+    its own omega and height only.  It is worked out _BLOCK rows at a time,
+    in place in the result and one block-sized float column, with the same
+    operations per element as the formula above, so the centres and the
+    log log H values never take a full-length column.
     """
     _check_reduction(Delta, centering)
     om, hts = _usable(records)
-    z = om.astype(float)
-    if centering == "empirical":
-        z -= _center_sums(records.family, hts)
-    llh = hts.astype(float)
-    np.log(llh, out=llh)
-    np.log(llh, out=llh)
-    llh *= float(Delta)
-    if centering == "paper":
-        z -= llh
-    np.sqrt(llh, out=llh)
-    z /= llh
+    if centering == "empirical" and len(hts):
+        # one prefix table up to the largest height serves every block
+        _sigma_prefix(records.family, int(hts.max()))
+    z = np.empty(len(om))
+    for lo in range(0, len(om), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        zb = z[blk]
+        zb[:] = om[blk]
+        if centering == "empirical":
+            zb -= _center_sums(records.family, hts[blk])
+        llh = hts[blk].astype(float)
+        np.log(llh, out=llh)
+        np.log(llh, out=llh)
+        llh *= float(Delta)
+        if centering == "paper":
+            zb -= llh
+        np.sqrt(llh, out=llh)
+        zb /= llh
     return z
 
 
@@ -1264,9 +1291,11 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
     <= limit has at most one prime factor above r, so each larger prime P
     is counted through its cofactor k = m / P <= limit // (r + 1): for each
     k, one pass adds 1 at k * P for the primes r < P <= limit // k, and no
-    index repeats within a pass.  The heights are strictly increasing and
-    no row is tainted.  Columns that would exceed physical memory are
-    refused with a ValueError before any is allocated.
+    index repeats within a pass.  The omegas are int8, converted once from
+    the int16 sieve counts (omega(m) <= 15 for every m < 6.1e17), and the
+    heights int64; the heights are strictly increasing and no row is
+    tainted.  Columns that would exceed physical memory are refused with a
+    ValueError before any is allocated.
     """
     if limit < max(low, 3):
         raise ValueError("limit too small")
@@ -1274,10 +1303,10 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
         raise ValueError("low must be at least 1")
     # the prime sieve's bool and the int16 counts per integer 0..limit, the
     # int64 primes (pi(x) < 1.26 x / log x) and one cofactor multiple of
-    # them, then int64 omegas and heights and a bool taint column per row
+    # them, then int8 omegas, int64 heights and a bool taint column per row
     size = limit - low + 1
     primes_bytes = 16 * int(1.26 * limit / math.log(limit))
-    check_fits_in_memory((limit + 1) * 3 + primes_bytes + size * 17, f"omega(m) for m <= {limit}")
+    check_fits_in_memory((limit + 1) * 3 + primes_bytes + size * 10, f"omega(m) for m <= {limit}")
     ps = primes_up_to(limit)
     r = math.isqrt(limit)
     small = int(np.searchsorted(ps, r, side="right"))
@@ -1287,6 +1316,6 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
     large = ps[small:]
     for k in range(1, limit // (r + 1) + 1):
         om[k * large[: np.searchsorted(large, limit // k, side="right")]] += 1
-    omegas = om[low:].astype(np.int64)
+    omegas = om[low:].astype(np.int8)
     m = np.arange(low, limit + 1, dtype=np.int64)
     return RecordSet(CLASSIC_OMEGA, limit, (), omegas, m, np.zeros(size, bool), 0)

@@ -330,6 +330,35 @@ def test_baseline_refuses_columns_above_physical_memory(tmp_path, capsys):
     assert err["kind"] == "config" and "physical memory" in err["detail"]
 
 
+def test_baseline_traced_peak_stays_under_budget(tmp_path, monkeypatch):
+    # 10^6 integers: int8 omegas, int64 heights and one float column at a
+    # time, with the sieve and the sigma prefix table built inside the run
+    monkeypatch.setattr(stats, "_SIGMA_PREFIX", {})
+    stats.primes_up_to.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "baseline", "--B", str(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 26 * 10**6
+
+
+def test_moebius_sieve_above_physical_memory_is_refused(tmp_path, capsys):
+    # the closed-form count sieves mu up to 10^13: refused before it is allocated
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "enumerate", "--B", "10000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10**7
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "physical memory" in err["detail"]
+
+
 @pytest.mark.parametrize("args", [("ekac", "--sample-size", "200"), ("sigma",)])
 def test_prime_sieve_above_physical_memory_is_refused(tmp_path, capsys, args):
     # the empirical centre and the sigma entries sieve the primes up to

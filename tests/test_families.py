@@ -629,6 +629,18 @@ def test_cube_class_table_matches_scalar():
         assert [int(table[u % mod]) for u in units] == [cube_class(u, p) for u in units]
 
 
+@pytest.mark.parametrize("p", [1009, 10009, 99991])
+def test_cube_class_table_matches_the_power_formula(p):
+    # u^((p-1)/3) is 1 on the cubes and g^((p-1)/3) on g times a cube, g the
+    # smallest non-cube; 0 and the rest are class 2
+    e = (p - 1) // 3
+    power = np.array([pow(u, e, p) for u in range(p)])
+    noncube = pow(families._smallest_noncube(p), e, p)
+    want = np.where(power == 1, 0, np.where(power == noncube, 1, 2))
+    table = families._cube_class_table(p)
+    assert table.dtype == np.int8 and table.tolist() == want.tolist()
+
+
 def _scalar_verdicts(fam, rows, places):
     # theta per row at its place, as the grids' int8: 2 for undecided
     out = []

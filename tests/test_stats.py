@@ -534,6 +534,15 @@ def test_moment_series_validation():
         moment_series(fractional, 500, 1, 2)
 
 
+@pytest.mark.parametrize("centering", ["paper", "empirical"])
+def test_moment_series_reads_any_integer_dtype_alike(centering):
+    # the classic set's int8 omegas and an int64 copy gather the same terms
+    # over more than one block
+    rs = classic_omega_set(2 * stats._BLOCK + 3)
+    wide = dataclasses.replace(rs, omegas=rs.omegas.astype(np.int64))
+    assert moment_series(rs, rs.B, 1, 8, centering) == moment_series(wide, rs.B, 1, 8, centering)
+
+
 def test_moments_validation():
     rs = classic_omega_set(500)
     with pytest.raises(ValueError, match="tau_histogram"):
@@ -750,6 +759,22 @@ def test_baseline_stage_prefixes_match_truncated_sets(centering):
         assert ks_distance(z[:k]) == _ks_oracle(_standardized_oracle(cut, 1, centering))
 
 
+@pytest.mark.parametrize("centering", ["paper", "empirical"])
+@pytest.mark.parametrize("family", ["classic", "conics"])
+def test_standardized_blocks_match_the_one_shot_formula_bitwise(family, centering):
+    n = 2 * stats._BLOCK + 1
+    if family == "classic":
+        rs, Delta = classic_omega_set(n + 2), 1
+        assert len(rs.omegas) == n
+    else:
+        # unsorted heights spread over 10^6, every seventh row tainted
+        rs, Delta = sample_records(CONICS, 10**6, n, seed=4), CONICS.Delta
+        rs = dataclasses.replace(rs, tainted=np.arange(n) % 7 == 0)
+    got = standardized_values(rs, Delta, centering)
+    want = _standardized_oracle(rs, Delta, centering)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_ks_distance_leaves_its_input_alone():
     z = np.random.default_rng(5).standard_normal(500)
     before = z.copy()
@@ -904,6 +929,11 @@ def test_classic_omega_validation():
         classic_omega_set(10, low=0)
 
 
+def test_classic_omegas_are_int8():
+    rs = classic_omega_set(10**4)
+    assert rs.omegas.dtype == np.int8 and rs.heights.dtype == np.int64
+
+
 # exact prime powers and prime squares sit on the small-prime sieve's edge;
 # a limit just below a prime square, the product of the primes either side
 # of sqrt(limit) and twice a large prime are where the cofactor passes over
@@ -970,6 +1000,16 @@ def test_center_sums_paths_match_binary_search(monkeypatch, family, cached_above
         ps, csum = stats._sigma_prefix(family, int(heights.max()))
         expect = csum[np.searchsorted(ps, heights, side="right")]
         assert stats._center_sums(family, heights).tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("family", [CLASSIC_OMEGA, CONICS], ids=["classic", "conics"])
+def test_center_sums_of_a_band_far_above_zero(family):
+    # a dense band spells out its sums from its lowest height, not from 0
+    band = np.arange(10**5, 10**5 + 1000)
+    ps, csum = stats._sigma_prefix(family, int(band[-1]))
+    expect = csum[np.searchsorted(ps, band, side="right")]
+    assert stats._center_sums(family, band).tolist() == expect.tolist()
+    assert stats._center_sums(family, band[::-1]).tolist() == expect[::-1].tolist()
 
 
 def _reference_prefix(entries):
