@@ -7,9 +7,9 @@ coprimality masks over a shared tail grid), counts them exactly (including count
 restricted to congruence classes mod a squarefree Q), and computes the size of
 P^n(Z/Q) for arbitrary moduli.
 
-Counts at large B use Moebius inversion over the content of integer vectors,
-which agrees with the streaming enumerator exactly; tests pin the two against
-each other at small B.
+Both exact counts are one Moebius inversion over the content k of integer
+vectors, the sum of mu(k) g(B // k); the k sharing a quotient B // k form a run
+lo..B // (B // lo), so g is called once per run, about 2 sqrt(B) times.
 """
 
 from __future__ import annotations
@@ -180,24 +180,32 @@ def point_slabs(n: int, B: int) -> Iterator[np.ndarray]:
         yield out
 
 
+def _content_sum(B: int, g: Callable[[int], int], coprime_to: int = 1) -> int:
+    """Sum of mu(k) g(B // k) over 1 <= k <= B coprime to coprime_to, one g call per run."""
+    mu = moebius_up_to(B)
+    for p in factorize(coprime_to):
+        mu[::p] = 0
+    total, lo = 0, 1
+    while lo <= B:
+        hi = B // (B // lo)
+        total += int(mu[lo : hi + 1].sum(dtype=np.int64)) * g(B // lo)
+        lo = hi + 1
+    return total
+
+
 def count_points(n: int, B: int) -> int:
-    """Exact #{x in P^n(Q) : H(x) <= B} by Moebius inversion over contents."""
+    """Exact #{x in P^n(Q) : H(x) <= B}: half the content sum of g(T) = (2T + 1)^(n+1) - 1."""
     if n < 1 or B < 1:
         raise ValueError("need n >= 1 and B >= 1")
-    mu = moebius_up_to(B)
-    total = 0
-    for k in range(1, B + 1):
-        m = int(mu[k])
-        if m == 0:
-            continue
-        box = 2 * (B // k) + 1
-        total += m * (box ** (n + 1) - 1)
+    total = _content_sum(B, lambda T: (2 * T + 1) ** (n + 1) - 1)
     assert total % 2 == 0
     return total // 2
 
 
 def residue_classes(n: int, Q: int) -> list[ResidueClass]:
-    """All points of P^n(Z/Q) for squarefree Q, in canonical form."""
+    """All points of P^n(Z/Q) for squarefree Q >= 2, in canonical form."""
+    if Q < 2:
+        raise ValueError("modulus must be >= 2")
     fac = factorize(Q)
     if any(e > 1 for e in fac.values()):
         raise ValueError("residue classes require a squarefree modulus")
@@ -232,10 +240,10 @@ def count_congruence(
 ) -> tuple[int, float, float]:
     """Exact count of height <= B points whose reduction mod Q satisfies predicate.
 
-    Returns (count, main_term, relative_error) where main_term is the density
-    heuristic c_n * (#selected classes / #P^n(Z/Q)) * B^{n+1} and
-    relative_error = |count - main_term| / main_term (0 when both vanish, inf
-    if the main term vanishes but the count does not).
+    It is half the content sum, over contents prime to Q, of the vectors in
+    [-T, T]^(n+1) in the unit cone of a selected class.  Returns (count, main,
+    rel): main is the density heuristic c_n * (#selected / #P^n(Z/Q)) * B^{n+1}
+    and rel = |count - main| / main (0 when both vanish, inf if only main does).
     """
     if B < 2:
         raise ValueError("need B >= 2")
@@ -246,22 +254,14 @@ def count_congruence(
     if upsilon == 0:
         return 0, main, 0.0
     units = [u for u in range(1, Q) if math.gcd(u, Q) == 1]
-    cone = np.array(
-        [[(u * v) % Q for v in cls.coords] for cls in selected for u in units],
-        dtype=np.int64,
-    )
-    mu = moebius_up_to(B)
-    total = 0
-    for k in range(1, B + 1):
-        m = int(mu[k])
-        if m == 0 or math.gcd(k, Q) != 1:
-            continue
-        T = B // k
-        residue_counts = np.array(
-            [(T - c) // Q + (T + c) // Q + 1 for c in range(Q)], dtype=np.int64
-        )
-        per_vec = residue_counts[cone].prod(axis=1)
-        total += m * int(per_vec.sum())
+    cone = np.array([[(u * v) % Q for v in cls.coords] for cls in selected for u in units])
+
+    def cone_vectors(T: int) -> int:
+        # Python ints: one class's (T + 1)^(n+1) vectors pass 2^63 at n = 3, T = 10^5
+        residue_counts = np.array([(T - c) // Q + (T + c) // Q + 1 for c in range(Q)], object)
+        return int(residue_counts[cone].prod(axis=1).sum())
+
+    total = _content_sum(B, cone_vectors, coprime_to=Q)
     assert total % 2 == 0
     count = total // 2
     rel = abs(count - main) / main if main > 0 else (0.0 if count == 0 else math.inf)

@@ -1,6 +1,7 @@
 """Enumeration, exact counts and residue classes on P^n(Q)."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibstat.arith import moebius_up_to
 from fibstat.projective import (
     ProjPoint,
     ResidueClass,
@@ -71,6 +73,28 @@ def test_enumeration_matches_naive(n, B):
 @pytest.mark.parametrize("n,B", [(1, 30), (2, 11), (3, 4)])
 def test_count_formula_matches_enumeration(n, B):
     assert count_points(n, B) == sum(1 for _ in enumerate_points(n, B))
+
+
+def count_points_by_content(n, B):
+    """Oracle: Moebius inversion with one term for every content k <= B."""
+    mu = moebius_up_to(B)
+    total = sum(int(mu[k]) * ((2 * (B // k) + 1) ** (n + 1) - 1) for k in range(1, B + 1))
+    assert total % 2 == 0
+    return total // 2
+
+
+# the quotient runs of B // k change length around m^2 - 1, m^2 and m(m + 1)
+RUN_EDGES = [e for m in (2, 3, 7, 31, 100, 316) for e in (m * m - 1, m * m, m * (m + 1))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_points_matches_per_content_loop(n):
+    for B in [*range(1, 401), *RUN_EDGES]:
+        assert count_points(n, B) == count_points_by_content(n, B), B
+
+
+def test_count_points_matches_per_content_loop_at_a_million():
+    assert count_points(2, 10**6) == count_points_by_content(2, 10**6)
 
 
 def test_slabs_match_enumeration():
@@ -179,6 +203,48 @@ def test_congruence_counts_match_enumeration():
     for cls, want in by_class.items():
         cnt, _, _ = count_congruence(2, B, p, lambda c, cls=cls: c == cls)
         assert cnt == want
+
+
+def test_congruence_counts_match_enumeration_composite_modulus():
+    # Q = 6 drops the contents divisible by 2 and those divisible by 3
+    B, Q = 25, 6
+    by_class = Counter(reduce_point(pt, Q) for pt in enumerate_points(2, B))
+    classes = residue_classes(2, Q)
+    assert len(classes) == 91
+    for cls in classes:
+        cnt, _, _ = count_congruence(2, B, Q, lambda c, cls=cls: c == cls)
+        assert cnt == by_class[cls], cls
+
+
+def test_congruence_partition_exact_composite_modulus():
+    # the 2821 classes mod 30 in seven groups by coordinate sum mod 7: each
+    # group's count matches the enumeration and the groups sum to the total
+    B, Q = 12, 30
+    assert len(residue_classes(2, Q)) == 2821
+    by_group = Counter(sum(reduce_point(pt, Q).coords) % 7 for pt in enumerate_points(2, B))
+    acc = 0
+    for r in range(7):
+        cnt, _, _ = count_congruence(2, B, Q, lambda c, r=r: sum(c.coords) % 7 == r)
+        assert cnt == by_group[r], r
+        acc += cnt
+    assert acc == count_points(2, B)
+
+
+def test_congruence_counts_past_int64():
+    # every class mod 2 selected: the count is count_points, here above 2^63,
+    # and each box of radius T <= 10^5 holds about (T + 1)^4 vectors of a class
+    B = 10**5
+    cnt, _, _ = count_congruence(3, B, 2, lambda c: True)
+    assert cnt == count_points(3, B) > 2**63
+
+
+def test_congruence_refuses_modulus_below_two():
+    # Q = 1 has no units, so the unit cone would be empty rather than refused
+    for Q in (1, 0, -6):
+        with pytest.raises(ValueError, match="modulus"):
+            count_congruence(2, 20, Q, lambda c: True)
+        with pytest.raises(ValueError, match="modulus"):
+            residue_classes(2, Q)
 
 
 def test_congruence_empty_predicate():
