@@ -19,7 +19,7 @@ empirically.  Every verdict at one place, and every exact insoluble
 density, reads the family's DigitModel: a digit per coefficient, a code
 per row, and a verdict per code (conics: three digit-triple tables built
 from localsolve.conic_soluble; cubics: three canonical-class tables
-searched once each; INF: theta per sign pattern).
+pinned from the local criterion; INF: theta per sign pattern).
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
@@ -48,7 +48,6 @@ from .localsolve import (
     Solubility,
     conic_soluble,
     legendre,
-    padic_point_search,
 )
 from .projective import ProjPoint, point_slabs, proj_size, residue_classes
 
@@ -407,9 +406,6 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # diagonal cubics: canonical coefficient classes and a cached decision engine
 
-_CUBIC_FORM_DEGREE = 3
-
-
 def cube_class(u: int, p: int) -> int:
     """Cube class of the unit u in Z_p^* / cubes, as 0, 1 or 2.
 
@@ -478,14 +474,15 @@ def _canonical_digit_codes() -> np.ndarray:
     per-coordinate unit-cube factors.  Each move is a bijection on
     solution sets, so solubility is a function of the canonical code.
     """
-    digits = _code_digits(9, 4)
-    # each (s, t) move, sorted and packed; the canonical code is the least
-    moved = [
-        np.sort((digits // 3 + s) % 3 * 3 + (digits % 3 + t) % 3, axis=1) @ 9 ** np.arange(4)
-        for s in range(3)
-        for t in range(3)
-    ]
-    return np.min(moved, axis=0)
+    # every (s, t) move at once: four digit columns of shape (9, 9**4), one
+    # row per move, sorted across by a five-comparator network and packed;
+    # the canonical code is the least.  int16 holds every code below 9**4.
+    s, t = np.divmod(np.arange(9, dtype=np.int16)[:, None], 3)
+    digits = _code_digits(9, 4).T.astype(np.int16)
+    cols = [(d // 3 + s) % 3 * 3 + (d % 3 + t) % 3 for d in digits]
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return sum(col * 9**i for i, col in enumerate(cols)).min(axis=0)
 
 
 def _cube_class_table(p: int) -> np.ndarray:
@@ -516,9 +513,20 @@ _RANKS = (Solubility.SOLUBLE, Solubility.INSOLUBLE, Solubility.UNKNOWN)
 
 def _rep_coeffs(code: int, p: int) -> tuple[int, ...]:
     # a coefficient vector whose base-9 digits at p spell code; at
-    # p = 2 (mod 3) every unit is a cube, so only class 0 is spelt
+    # p = 2 (mod 3) every unit is a cube, so only class 0 is spelt.  The
+    # search that pins _INSOLUBLE_CUBIC_CLASSES decides these vectors.
     g = 2 if p == 3 else _smallest_noncube(p) if p % 3 == 1 else 1
     return tuple(p ** (code // 9**i % 9 // 3) * g ** (code // 9**i % 3) for i in range(4))
+
+
+# the insoluble canonical codes (_canonical_digit_codes) at each
+# representative prime, checked against the search at every prime <= 97
+# and at 1009 and 6007
+_INSOLUBLE_CUBIC_CLASSES = {
+    2: (),
+    3: (3996,),
+    7: (3168, 3177, 3178, 4626, 4635, 4636, 4707, 4716, 4717, 4726, 4788, 4798),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -526,11 +534,11 @@ def _cubic_verdicts(rep: int) -> np.ndarray:
     """Cubic verdict per raw base-9 digit 4-tuple at the prime rep, as int8
     indices into _RANKS.
 
-    localsolve.padic_point_search decides one representative of each
-    canonical class (_canonical_digit_codes) with mass at rep, and every
-    code reads its class's verdict; a class with no mass (unit classes
-    1, 2 at rep = 2) reads 2.  Three tables serve every prime, built at
-    rep = 2, 3 and 7 (CubicDecider picks one), by the local criterion of
+    Every canonical class (_canonical_digit_codes) with mass at rep reads
+    soluble except those _INSOLUBLE_CUBIC_CLASSES lists, and every code
+    reads its class's verdict; a class with no mass (unit classes 1, 2 at
+    rep = 2) reads 2.  Three tables serve every prime, built at rep = 2, 3
+    and 7 (CubicDecider picks one), by the local criterion of
     Colliot-Thelene, Kanevsky and Sansuc (LNM 1290, 1987).  For p != 3,
     two coefficients whose valuations agree mod 3 give a smooth zero, which
     Hensel lifts, exactly when minus their ratio is a unit cube.  At
@@ -539,15 +547,16 @@ def _cubic_verdicts(rep: int) -> np.ndarray:
     p >= 7, three coefficients in one valuation class cut a smooth plane
     cubic with at least p + 1 - 2 sqrt(p) > 0 points.  So a verdict reads
     only which valuations and cube classes coincide, which is why one
-    representative prime serves each class of prime.
+    representative prime serves each class of prime.  The lists are
+    pinned against localsolve.padic_point_search by
+    test_every_cubic_class_is_decided.
     """
     k = 1 if rep == 2 else 3
     canonical = _canonical_digit_codes()
     status = np.full(9**4, 2, np.int8)
     reachable = (_code_digits(9, 4) % 3 < k).all(axis=1)
-    for code in sorted(set(canonical[reachable].tolist())):
-        form = HomogeneousForm.diagonal(_rep_coeffs(code, rep), _CUBIC_FORM_DEGREE)
-        status[code] = _RANKS.index(padic_point_search(form, rep).status)
+    status[canonical[reachable]] = 0
+    status[list(_INSOLUBLE_CUBIC_CLASSES[rep])] = 1
     return status[canonical]
 
 
@@ -602,7 +611,9 @@ class CubicDecider:
         return self.model.grid(coeffs)
 
 
-_cubic_decider = functools.lru_cache(maxsize=None)(CubicDecider)
+# bounded: a sample meets a new prime in almost every row, and a decider
+# is cheap to rebuild
+_cubic_decider = functools.lru_cache(maxsize=256)(CubicDecider)
 
 
 def _cubic_theta(x, place: Place) -> bool:
@@ -784,14 +795,14 @@ def sigma_empirical(
     rows = np.empty((0, m), dtype=np.int64)
     while len(rows) < sample_size:
         batch = rng.integers(0, M, size=(2 * (sample_size - len(rows)) + 8, m))
-        batch = batch[(batch % p != 0).any(axis=1)]
-        rows = np.concatenate([rows, batch.astype(np.int64)])
-    rows = rows[:sample_size]
+        # the first primitive rows of the batch, as many as are still wanted
+        keep = np.flatnonzero((batch % p).any(axis=1))[: sample_size - len(rows)]
+        rows = np.concatenate([rows, batch[keep]])
 
     model = family.digit_model(p)
     # valuation(v) <= depth - margin, and v != 0, iff p^(depth - margin + 1) does not divide v
     stable = p ** max(0, precision_depth - model.margin + 1)
-    decided = rows[(rows % stable != 0).all(axis=1)]
+    decided = rows[(rows % stable).all(axis=1)]
     verdicts = model.grid(decided)
     insoluble = int((verdicts == 1).sum())
     unknown = sample_size - len(decided) + int((verdicts == 2).sum())

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fibstat import families
+from fibstat import families, localsolve
 from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
     CubicDecider,
@@ -588,16 +588,18 @@ def test_cubic_digit_route_matches_formula_route(p, monkeypatch):
         CubicDecider(p).decide_grid(rows)
 
 
-def test_cubic_verdicts_search_each_class_of_prime_once(monkeypatch):
+def test_cubic_verdicts_run_no_search(monkeypatch):
+    # the verdict tables are pinned: building every class of decider runs no
+    # p-adic search
     searched = []
-    search = families.padic_point_search
+    search = localsolve.padic_point_search
 
     def spy(form, p, **kwargs):
         searched.append((form, p))
         return search(form, p, **kwargs)
 
     def decide_all(primes):
-        # every decider's grid and scalar verdicts, twice over
+        # every decider's grid and scalar verdicts
         out = []
         for p in primes:
             dec = CubicDecider(p)
@@ -608,17 +610,34 @@ def test_cubic_verdicts_search_each_class_of_prime_once(monkeypatch):
                 dec.decide(row)
         return out
 
-    monkeypatch.setattr(families, "padic_point_search", spy)
+    monkeypatch.setattr(localsolve, "padic_point_search", spy)
     families._cubic_verdicts.cache_clear()
-    first = decide_all((7, 13, 19, 31))
-    # one search per canonical class, of the 55 there are, all at 7
-    assert 0 < len(searched) == len({form for form, _ in searched}) <= 55
-    assert {p for _, p in searched} == {7}
-    searched.clear()
-    decide_all((2, 5, 11))
-    assert 0 < len(searched) <= 5 and {p for _, p in searched} == {2}
-    searched.clear()
-    assert decide_all((7, 13, 19, 31)) == first and not searched
+    primes = (2, 3, 5, 7, 13, 19, 31)
+    first = decide_all(primes)
+    assert decide_all(primes) == first
+    assert not searched
+    # a search imported by name would escape the spy
+    assert not hasattr(families, "padic_point_search")
+
+
+def _canonical_codes_by_sort():
+    # each (s, t) move sorted row by row with np.sort and packed; the least wins
+    digits = families._code_digits(9, 4)
+    moved = [
+        np.sort((digits // 3 + s) % 3 * 3 + (digits % 3 + t) % 3, axis=1) @ 9 ** np.arange(4)
+        for s in range(3)
+        for t in range(3)
+    ]
+    return np.min(moved, axis=0)
+
+
+def test_canonical_digit_codes_match_sort():
+    assert np.array_equal(families._canonical_digit_codes(), _canonical_codes_by_sort())
+
+
+def test_cubic_decider_cache_is_bounded():
+    maxsize = families._cubic_decider.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10**4
 
 
 def test_cube_class_table_matches_scalar():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from scipy.special import ndtr
 
-from fibstat import families, stats
+from fibstat import families, localsolve, stats
 from fibstat.arith import factorize, primes_up_to
 from fibstat.families import (
     CubicDecider,
@@ -245,10 +245,10 @@ def test_scan_tally_thread_count_invariance(family, B, S):
 
 
 def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
-    # the verdict tables are built anew for each scan; warm runs every
-    # search and verdict lookup before the threads start
+    # the verdict tables are built anew for each scan from pinned classes,
+    # with no search; warm runs every verdict lookup before the threads start
     searched, threads_seen = [], set()
-    search = families.padic_point_search
+    search = localsolve.padic_point_search
 
     def spy(form, p, **kwargs):
         searched.append(threading.get_ident())
@@ -263,7 +263,7 @@ def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
 
         return dataclasses.replace(model, verdicts=verdicts)
 
-    monkeypatch.setattr(families, "padic_point_search", spy)
+    monkeypatch.setattr(localsolve, "padic_point_search", spy)
     spied = dataclasses.replace(CUBICS, digit_model=digit_model)
     calls = []
     for threads in (1, 4):
@@ -271,8 +271,7 @@ def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
         families._cubic_verdicts.cache_clear()
         scan_tally(spied, 12, threads=threads)
         calls.append(len(searched))
-        assert set(searched) == {threading.get_ident()}
-    assert calls[0] == calls[1] > 0
+    assert calls[0] == calls[1] == 0
     assert threads_seen == {threading.get_ident()}
 
 
@@ -901,6 +900,25 @@ def test_cubic_density_table_shape():
         assert 0 <= est.value <= 1
     # only split primes can obstruct; the rest must come out structurally zero
     assert table[5].value == 0.0 and table[11].value == 0.0
+
+
+def test_cubic_density_table_draws_are_pinned():
+    # the report prints no unknown_fraction: these pin which sampled disks are kept
+    want = {
+        2: (0.0, 0.0, 0.00325),
+        3: (0.03045, 0.0012149649686307832, 0.00595),
+        5: (0.0, 0.0, 0.0065),
+        7: (0.0445, 0.0014580766440760238, 0.00185),
+        11: (0.0, 0.0, 0.00015),
+        13: (0.0146, 0.00084814031857942, 0.00015),
+        17: (0.0, 0.0, 0.00015),
+        19: (0.00755, 0.0006120864930710365, 0.0),
+        23: (0.0, 0.0, 0.0),
+        29: (0.0, 0.0, 0.0),
+    }
+    table = cubic_density_table(30, 20000, seed=0)
+    got = {p: (e.value, e.standard_error, e.unknown_fraction) for p, e in table.items()}
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
