@@ -4,7 +4,7 @@ Sieves, factorization, Moebius values and deterministic primality for the
 word-sized integers the rest of the library throws around.  Everything here
 returns plain Python ints (or numpy arrays where documented); nothing is
 probabilistic.  check_fits_in_memory is the one guard that refuses arrays
-above physical memory before they are allocated.
+above physical memory before they are allocated; it raises SizeRefused.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "is_prime",
     "valuation",
     "check_fits_in_memory",
+    "SizeRefused",
 ]
 
 
@@ -36,7 +37,7 @@ def primes_up_to(n: int) -> np.ndarray:
     The last result is kept, so callers asking for the same bound in turn
     (the classic omega sieve, then its sigma prefix table) share one sieve;
     it is read-only because it is shared.  A sieve above physical memory
-    raises ValueError before anything is allocated.
+    raises SizeRefused before anything is allocated.
     """
     if n < 2:
         primes = np.zeros(0, dtype=np.int64)
@@ -71,7 +72,7 @@ def smallest_prime_factors(n: int) -> np.ndarray:
 def moebius_up_to(n: int) -> np.ndarray:
     """mu[k] for 0 <= k <= n as int8 via a squarefree sieve (mu[0] = 0).
 
-    A column above physical memory raises ValueError before it is allocated.
+    A column above physical memory raises SizeRefused before it is allocated.
     """
     check_fits_in_memory(n + 1, f"the Moebius function up to {n}")
     mu = np.ones(n + 1, dtype=np.int8)
@@ -296,7 +297,15 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+class SizeRefused(ValueError):
+    """A run's settings ask for more than physical memory or int64 holds.
+
+    Raised before anything of that size is allocated or drawn; the CLI
+    reports it as a configuration error (exit 2).
+    """
+
+
 def check_fits_in_memory(nbytes: int, what: str) -> None:
-    """Raise ValueError when nbytes of arrays for `what` exceed physical memory."""
+    """Raise SizeRefused when nbytes of arrays for `what` exceed physical memory."""
     if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ValueError(f"{what} needs {nbytes / 1e9:.1f} GB, above physical memory")
+        raise SizeRefused(f"{what} needs {nbytes / 1e9:.1f} GB, above physical memory")

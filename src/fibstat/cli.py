@@ -6,8 +6,8 @@ regenerated from its manifest alone.  Reports go to `<output>.<command>.csv`
 (or .json), the manifest to `<output>.manifest.json`; both are written to a
 temporary file first and renamed into place, so partial outputs never land.
 
-Exit codes: 0 success, 2 configuration error, 3 tainted fraction above the
-ceiling, 4 internal invariant violation.
+Exit codes: 0 success, 2 configuration error or refused size (SizeRefused),
+3 tainted fraction above the ceiling, 4 internal invariant violation or other fault.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import SizeRefused, is_prime
 from .families import FamilyDescriptor, family_by_name
 from .grouptheory import bundled_document, delta, delta_total, parse_action_document
 from .localsolve import INF, Place, conic_soluble, hilbert
@@ -136,6 +136,8 @@ class RunConfig:
                 raise ConfigError("hilbert needs exactly one of --conic or --symbol")
             if self.place is None:
                 raise ConfigError("hilbert needs --place")
+            if 0 in (self.conic or self.symbol):
+                raise ConfigError("hilbert needs nonzero entries")
 
     def as_dict(self) -> dict:
         """JSON-able canonical form: every field, places rendered as strings,
@@ -373,10 +375,7 @@ def _run_enumerate(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     if cfg.B < 1:
         raise ConfigError("enumerate needs B >= 1")
-    try:
-        count = count_points(fam.n, cfg.B)
-    except ValueError as exc:  # a Moebius sieve above physical memory
-        raise ConfigError(str(exc)) from exc
+    count = count_points(fam.n, cfg.B)
     verified = False
     if count <= 200_000:
         # cheap enough to cross-check the closed-form count against the stream
@@ -396,10 +395,7 @@ def _run_sigma(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     if fam.sigma_p is None:
         raise ConfigError(f"sigma needs a family with exact entries; {fam.name} has none")
-    try:
-        entries = sigma_entries(fam, cfg.B)
-    except ValueError as exc:  # a prime sieve above physical memory
-        raise ConfigError(str(exc)) from exc
+    entries = sigma_entries(fam, cfg.B)
     if len(entries) < 25:
         raise ConfigError(f"sigma needs B large enough for at least 25 primes above {fam.A}")
     fit = sigma_partial_sums(entries, fam.Delta)
@@ -435,22 +431,14 @@ def _run_ekac(cfg: RunConfig):
     fam = family_by_name(cfg.family)
     if fam.Delta == 0:
         raise ConfigError("ekac needs Delta > 0 (tau covers the discrete law)")
-    try:
-        rs = sample_records(
-            fam, cfg.B, cfg.sample_size, cfg.seed, S=cfg.S, threads=cfg.threads
-        )
-    except ValueError as exc:  # a sample whose arrays exceed physical memory
-        raise ConfigError(str(exc)) from exc
+    rs = sample_records(fam, cfg.B, cfg.sample_size, cfg.seed, S=cfg.S, threads=cfg.threads)
     _taint_check(rs.tainted_count, len(rs.omegas))
-    try:
-        rows = _moment_rows(rs, cfg, fam.Delta)
-        z = standardized_values(rs, fam.Delta, centering=cfg.centering)
-    except ValueError as exc:  # no usable row, or an empirical centre's sieve too large
-        raise ConfigError(str(exc)) from exc
+    z = standardized_values(rs, fam.Delta, centering=cfg.centering)
     if len(z) < 100:
         raise ConfigError(
             f"ekac needs at least 100 usable rows (untainted, height >= 3), got {len(z)}"
         )
+    rows = _moment_rows(rs, cfg, fam.Delta)
     ks = ks_distance(z)
     rows.append(("ks", None, ks, None, None))
     counts, edges = np.histogram(z, bins=HIST_BINS, range=HIST_RANGE)
@@ -476,10 +464,7 @@ def _run_ekac(cfg: RunConfig):
 
 def _run_tau(cfg: RunConfig):
     fam = family_by_name(cfg.family)
-    try:
-        tally = scan_tally(fam, cfg.B, cfg.S, threads=cfg.threads)
-    except ValueError as exc:  # a scan whose grids exceed physical memory
-        raise ConfigError(str(exc)) from exc
+    tally = scan_tally(fam, cfg.B, cfg.S, threads=cfg.threads)
     _taint_check(tally.tainted_count, tally.point_count)
     th = tau_histogram(tally)
     rows = [
@@ -504,10 +489,7 @@ def _run_tau(cfg: RunConfig):
         f"tau({j}) = {th.counts[j]}/{th.point_count}" for j in sorted(th.counts)
     ]
     if fam.Delta == 0:
-        try:
-            table = cubic_density_table(cfg.prime_cutoff, cfg.sample_size, seed=cfg.seed)
-        except ValueError as exc:  # disk samples whose arrays exceed physical memory
-            raise ConfigError(str(exc)) from exc
+        table = cubic_density_table(cfg.prime_cutoff, cfg.sample_size, seed=cfg.seed)
         for j in range(4):
             pred = tau_limit_prediction(fam, j, cfg.prime_cutoff, table)
             rows.append(("prediction", j, pred.value, pred.std_error, pred.tail_bound))
@@ -548,19 +530,13 @@ def _run_hilbert(cfg: RunConfig):
     rows = []
     if cfg.symbol is not None:
         a, b = cfg.symbol
-        try:
-            val = hilbert(a, b, cfg.place)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        val = hilbert(a, b, cfg.place)
         rows.append(("symbol", f"{a} {b} @ {place_str}", f"{val:+d}"))
         out = [f"({a}, {b})_{place_str} = {val:+d}"]
         results = {"symbol": val}
     else:
         a, b, c = cfg.conic
-        try:
-            soluble = conic_soluble(a, b, c, cfg.place)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        soluble = conic_soluble(a, b, c, cfg.place)
         verdict = "soluble" if soluble else "insoluble"
         rows.append(("conic", f"{a} {b} {c} @ {place_str}", verdict))
         out = [f"{a} x^2 + {b} y^2 = {c} z^2 over Q_{place_str}: {verdict}"]
@@ -569,10 +545,7 @@ def _run_hilbert(cfg: RunConfig):
 
 
 def _run_baseline(cfg: RunConfig):
-    try:
-        rs = classic_omega_set(cfg.B)
-    except ValueError as exc:  # columns that exceed physical memory
-        raise ConfigError(str(exc)) from exc
+    rs = classic_omega_set(cfg.B)
     rows = _moment_rows(rs, cfg, 1)
     stages = sorted({min(cfg.B, max(1000, cfg.B // k)) for k in (100, 10, 1)})
     # classic_omega_set's heights are strictly increasing from 3 and no row
@@ -687,7 +660,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # nargs flags parse to lists; RunConfig holds tuples
         cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in ns.items()})
         code, out = run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, SizeRefused) as exc:
         print(_error_record(2, "config", str(exc)), file=sys.stderr)
         return 2
     except TaintCeilingExceeded as exc:

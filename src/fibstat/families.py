@@ -39,7 +39,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import check_fits_in_memory, factorize, is_prime, jacobi, primes_up_to, valuation
+from .arith import (
+    SizeRefused, check_fits_in_memory, factorize, is_prime, jacobi, primes_up_to, valuation
+)
 from .grouptheory import ComponentAction, delta_total, load_bundled_actions
 from .localsolve import (
     INF,
@@ -67,6 +69,7 @@ __all__ = [
     "omega_formula_conics",
     "sigma_exact",
     "sigma_empirical",
+    "disk_modulus",
     "conic_sigma_formula",
     "conic_insoluble_density",
     "insoluble_density",
@@ -406,6 +409,10 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # diagonal cubics: canonical coefficient classes and a cached decision engine
 
+# the cube class of each unit residue mod 9, which decides it for p = 3
+_CUBE_CLASS_MOD_9 = {1: 0, 8: 0, 2: 1, 7: 1, 4: 2, 5: 2}
+
+
 def cube_class(u: int, p: int) -> int:
     """Cube class of the unit u in Z_p^* / cubes, as 0, 1 or 2.
 
@@ -417,7 +424,7 @@ def cube_class(u: int, p: int) -> int:
     if u % p == 0:
         raise ValueError("cube class needs a p-adic unit")
     if p == 3:
-        return {1: 0, 8: 0, 2: 1, 7: 1, 4: 2, 5: 2}[u % 9]
+        return _CUBE_CLASS_MOD_9[u % 9]
     if p % 3 != 1:
         return 0
     e = (p - 1) // 3
@@ -495,8 +502,7 @@ def _cube_class_table(p: int) -> np.ndarray:
     """
     if p == 3:
         table = np.full(9, -1, dtype=np.int8)
-        for u, c in ((1, 0), (8, 0), (2, 1), (7, 1), (4, 2), (5, 2)):
-            table[u] = c
+        table[list(_CUBE_CLASS_MOD_9)] = list(_CUBE_CLASS_MOD_9.values())
         return table
     if p % 3 != 1:
         return np.zeros(1, dtype=np.int8)
@@ -509,14 +515,6 @@ def _cube_class_table(p: int) -> np.ndarray:
 
 
 _RANKS = (Solubility.SOLUBLE, Solubility.INSOLUBLE, Solubility.UNKNOWN)
-
-
-def _rep_coeffs(code: int, p: int) -> tuple[int, ...]:
-    # a coefficient vector whose base-9 digits at p spell code; at
-    # p = 2 (mod 3) every unit is a cube, so only class 0 is spelt.  The
-    # search that pins _INSOLUBLE_CUBIC_CLASSES decides these vectors.
-    g = 2 if p == 3 else _smallest_noncube(p) if p % 3 == 1 else 1
-    return tuple(p ** (code // 9**i % 9 // 3) * g ** (code // 9**i % 3) for i in range(4))
 
 
 # the insoluble canonical codes (_canonical_digit_codes) at each
@@ -778,7 +776,8 @@ def sigma_empirical(
     too shallow to pin the unit class) counts as unknown, as does an
     undecided verdict; unknowns are reported separately and not folded into
     the value.  The remaining disks are decided by digit_model(p).grid.
-    Disks whose rows exceed physical memory raise ValueError before any draw.
+    A modulus past int64 (disk_modulus) or disks whose rows exceed physical
+    memory raise SizeRefused before any draw.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
@@ -786,9 +785,7 @@ def sigma_empirical(
         raise ValueError("precision_depth must be at least 1")
     if not is_prime(p):
         raise ValueError("p must be prime")
-    M = p**precision_depth
-    if M >= 1 << 62:
-        raise ValueError("p^depth too large to sample")
+    M = disk_modulus(p, precision_depth)
     m = family.n + 1
     check_fits_in_memory(sample_size * m * 8, f"{sample_size} disks")
     rng = np.random.default_rng(seed)
@@ -815,6 +812,14 @@ def sigma_empirical(
         standard_error=math.sqrt(q * (1 - q) / sample_size),
         unknown_fraction=unknown / sample_size,
     )
+
+
+def disk_modulus(p: int, depth: int) -> int:
+    """p^depth, below which sigma_empirical draws int64 disks; SizeRefused at 2^62 or more."""
+    M = int(p) ** int(depth)
+    if M >= 1 << 62:
+        raise SizeRefused(f"disks mod {p}^{depth} are too large to sample: p^depth >= 2^62")
+    return M
 
 
 def _conic_sigma_terms(p):

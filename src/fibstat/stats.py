@@ -24,13 +24,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import check_fits_in_memory, prime_support, primes_up_to
+from .arith import SizeRefused, check_fits_in_memory, prime_support, primes_up_to
 from .families import (
     DiskDensityEstimate,
     FamilyDescriptor,
     ObstructionRecord,
     SigmaTable,
     diagonal_cubics,
+    disk_modulus,
     omega_pi,
     sigma_empirical,
 )
@@ -273,7 +274,7 @@ class _PlaceGrids:
         """Decide every key the leads 1..B ask for.
 
         Before each key, the masks kept so far plus reserve bytes are
-        checked against physical memory (ValueError), so a scan too large
+        checked against physical memory (SizeRefused), so a scan too large
         to walk is refused before its first grid.
         """
         held = 0
@@ -349,7 +350,7 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     their digit_model (_PlaceGrids).  The columns are allocated once for all
     count_points(n, B) points, filled lead by lead and returned as views of
     the rows filled, so no column is held twice; columns above physical
-    memory raise ValueError before anything is allocated.
+    memory raise SizeRefused before anything is allocated.
     """
     S = tuple(S)
     n = family.n
@@ -436,7 +437,7 @@ def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> 
     on order, so the tally is identical for any thread count.  Every
     verdict mask is built by _PlaceGrids.warm before the threads start,
     and the threads only read them.  A walk whose per-thread grids and
-    kept verdict masks exceed physical memory raises ValueError before its
+    kept verdict masks exceed physical memory raises SizeRefused before its
     first grid.
     """
     if threads < 1:
@@ -545,12 +546,15 @@ def sample_records(
     depend on its block, so the output is byte-identical for any thread
     count.  The draws themselves run in order on the calling thread: they
     are small and hold the GIL.  A sample whose rows and columns exceed
-    physical memory raises ValueError before anything is drawn.
+    physical memory, or whose coordinates int64 cannot hold (B >= 2^63),
+    raises SizeRefused before anything is drawn.
     """
     if B < 3:
         raise ValueError("need B >= 3")
     if sample_size < 1:
         raise ValueError("need a positive sample size")
+    if B >= 1 << 63:
+        raise SizeRefused(f"a sample at B={B} needs coordinates past int64 (B < 2^63)")
     # int64 rows, then int64 omegas and heights and a bool taint column
     check_fits_in_memory(sample_size * (8 * (family.n + 1) + 17), f"a sample of {sample_size}")
     S = tuple(S)
@@ -863,23 +867,26 @@ def moment_window(B: int, r: int, n: int) -> TruncationWindow:
     return TruncationWindow(r, t0, t1)
 
 
-def truncated_omega(record: ObstructionRecord, window: TruncationWindow, sigma):
-    """Centered count over the window: #insoluble primes in (t0,t1] minus
-    the sigma sum there.  Exact (Fraction) when the entries are exact."""
+def _window_sigma_sum(window: TruncationWindow, sigma):
+    """The sum of sigma's entries over the primes in (t0, t1], added in prime order."""
     entries = sigma.entries if isinstance(sigma, SigmaTable) else dict(sigma)
-    hits = sum(
-        1
-        for pl in record.insoluble_places
-        if pl != INF and window.t0 < pl <= window.t1
-    )
     total = Fraction(0)
-    for p in primes_up_to(int(window.t1)):
-        p = int(p)
+    for p in primes_up_to(int(window.t1)).tolist():
         if window.t0 < p <= window.t1:
             if p not in entries:
                 raise ValueError(f"sigma table is missing p={p} inside the window")
             total = total + entries[p]
-    return hits - total
+    return total
+
+
+def _window_hits(record: ObstructionRecord, window: TruncationWindow) -> int:
+    return sum(1 for pl in record.insoluble_places if pl != INF and window.t0 < pl <= window.t1)
+
+
+def truncated_omega(record: ObstructionRecord, window: TruncationWindow, sigma):
+    """Centered count over the window: #insoluble primes in (t0,t1] minus
+    the sigma sum there.  Exact (Fraction) when the entries are exact."""
+    return _window_hits(record, window) - _window_sigma_sum(window, sigma)
 
 
 def truncated_moments(
@@ -893,7 +900,8 @@ def truncated_moments(
     """Moment of the windowed centered counts, normalized like moments().
 
     Needs full records (the place lists), so it runs on scan() output or
-    sampled record lists rather than columnar sets.
+    sampled record lists rather than columnar sets.  The window's sigma sum
+    is taken once; each record's value equals truncated_omega's.
     """
     if float(Delta) <= 0:
         raise ValueError("Delta must be positive")
@@ -903,8 +911,9 @@ def truncated_moments(
         raise ValueError("window must sit strictly below the height bound")
     if r == 0:
         return MomentReport(B, 0, 1.0, "truncated", 1.0)
+    total = _window_sigma_sum(window, sigma)
     vals = [
-        float(truncated_omega(rec, window, sigma))
+        float(_window_hits(rec, window) - total)
         for rec in records
         if not rec.tainted and rec.point.height >= 3
     ]
@@ -1009,8 +1018,9 @@ def standardized_values(records: RecordSet, Delta, centering: str = "paper") -> 
     _check_reduction(Delta, centering)
     om, hts = _usable(records)
     if centering == "empirical" and len(hts):
-        # one prefix table up to the largest height serves every block
-        _sigma_prefix(records.family, int(hts.max()))
+        # one prefix table serves every block and moment_series' centre at B;
+        # its entries are running sums in prime order, so its length alters none
+        _sigma_prefix(records.family, max(int(records.B), int(hts.max())))
     z = np.empty(len(om))
     for lo in range(0, len(om), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
@@ -1206,15 +1216,15 @@ def cubic_density_table(
     """Monte Carlo insoluble-disk densities for the cubic family, per prime.
 
     Disks are sampled at precision 10 / 7 / 4 for p = 2 / 3 / larger,
-    enough to pin unit cube classes.
+    enough to pin unit cube classes.  Every prime's modulus is checked
+    (disk_modulus) before the first draw, so a cutoff whose largest disks
+    cannot be sampled raises SizeRefused at once.
     """
+    depths = {p: 10 if p == 2 else 7 if p == 3 else 4 for p in primes_up_to(prime_cutoff).tolist()}
+    for p, d in depths.items():
+        disk_modulus(p, d)
     fam = diagonal_cubics()
-    table = {}
-    for p in primes_up_to(prime_cutoff):
-        p = int(p)
-        d = 10 if p == 2 else 7 if p == 3 else 4
-        table[p] = sigma_empirical(fam, p, sample_size, d, seed=seed + p)
-    return table
+    return {p: sigma_empirical(fam, p, sample_size, d, seed=seed + p) for p, d in depths.items()}
 
 
 def tau_limit_prediction(
@@ -1295,7 +1305,7 @@ def classic_omega_set(limit: int, low: int = 3) -> RecordSet:
     the int16 sieve counts (omega(m) <= 15 for every m < 6.1e17), and the
     heights int64; the heights are strictly increasing and no row is
     tainted.  Columns that would exceed physical memory are refused with a
-    ValueError before any is allocated.
+    SizeRefused before any is allocated.
     """
     if limit < max(low, 3):
         raise ValueError("limit too small")

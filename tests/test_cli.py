@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from fibstat import cli, stats
+from fibstat.arith import SizeRefused
 from fibstat.cli import RunConfig, main, read_report
 from fibstat.families import SigmaTable, conic_sigma_formula
 from fibstat.projective import count_points
@@ -384,6 +385,96 @@ def test_ekac_refuses_fewer_than_100_usable_rows(tmp_path, capsys, args):
     code, _ = run_cli(tmp_path, "ekac", *args)
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
+# ---------------------------------------------------------------------------
+# size refusals: exit 2 for a refused size, exit 4 for any other fault
+
+
+def test_size_refused_is_a_value_error():
+    assert issubclass(SizeRefused, ValueError)
+
+
+_RUNNER_CALLS = [
+    ("sample_records", ("ekac", "--B", "300", "--sample-size", "200")),
+    ("scan_tally", ("tau", "--B", "10")),
+]
+
+
+@pytest.mark.parametrize("name, argv", _RUNNER_CALLS, ids=[n for n, _ in _RUNNER_CALLS])
+def test_a_runners_plain_value_error_is_internal(tmp_path, monkeypatch, capsys, name, argv):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside the library")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "internal" and "a fault inside the library" in err["detail"]
+
+
+@pytest.mark.parametrize("name, argv", _RUNNER_CALLS, ids=[n for n, _ in _RUNNER_CALLS])
+def test_a_runners_size_refusal_is_a_config_error(tmp_path, monkeypatch, capsys, name, argv):
+    def refused(*args, **kwargs):
+        raise SizeRefused("the test arrays need 1000000.0 GB, above physical memory")
+
+    monkeypatch.setattr(cli, name, refused)
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert err["detail"] == "the test arrays need 1000000.0 GB, above physical memory"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ekac_refuses_a_height_bound_past_int64(tmp_path, capsys):
+    # coordinates are drawn as int64, so B = 2^63 is refused before any draw
+    code, _ = run_cli(tmp_path, "ekac", "--B", str(2**63), "--centering", "paper")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "int64" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "query", [("--conic", "0", "1", "1", "--place", "3"), ("--symbol", "0", "2", "--place", "inf")]
+)
+def test_hilbert_with_a_zero_entry_is_a_config_error(tmp_path, capsys, query):
+    code, _ = run_cli(tmp_path, "hilbert", *query)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _count_sigma_empirical(monkeypatch):
+    calls = []
+    real = stats.sigma_empirical
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "sigma_empirical", spy)
+    return calls
+
+
+def test_density_table_refuses_an_oversized_modulus_before_any_draw(monkeypatch):
+    # 46349 is the least prime with p^4 >= 2^62; every smaller prime's
+    # disks would be sampled first if the check waited for it
+    calls = _count_sigma_empirical(monkeypatch)
+    with pytest.raises(SizeRefused, match="46349"):
+        stats.cubic_density_table(46349, 10)
+    assert calls == []
+
+
+def test_tau_refuses_an_oversized_density_table_before_any_draw(tmp_path, monkeypatch, capsys):
+    calls = _count_sigma_empirical(monkeypatch)
+    code, _ = run_cli(
+        tmp_path, "tau", "--family", "diagonal-cubics", "--B", "4", "--prime-cutoff", "46349"
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "46349^4" in err["detail"]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fibstat import families, localsolve
-from fibstat.arith import factorize, primes_up_to
+from fibstat.arith import SizeRefused, factorize, primes_up_to
 from fibstat.families import (
     CubicDecider,
     DiskDensityEstimate,
@@ -436,6 +436,13 @@ def test_sigma_empirical_rejections():
         sigma_empirical(fam, 5, 10, 0)
     with pytest.raises(ValueError):
         sigma_empirical(fam, 6, 10, 2)
+
+
+def test_sigma_empirical_refuses_a_disk_modulus_past_2_to_the_62():
+    # the fourth root of 2^62 (about 46341) lies between the primes 46337 and 46349
+    assert families.disk_modulus(46337, 4) == 46337**4 < 1 << 62
+    with pytest.raises(SizeRefused, match=r"46349\^4"):
+        sigma_empirical(diagonal_cubics(), 46349, 10, 4)
 
 
 def test_sigma_empirical_refuses_disks_above_physical_memory():

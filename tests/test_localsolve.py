@@ -28,7 +28,7 @@ from fibstat.families import (
     _RANKS,
     CubicDecider,
     _canonical_digit_codes,
-    _rep_coeffs,
+    _smallest_noncube,
     cubic_criterion,
     family_by_name,
 )
@@ -787,6 +787,14 @@ def test_witness_levels_are_consistent():
 
 # ---------------------------------------------------------------------------
 # every canonical diagonal cubic class
+
+
+def _rep_coeffs(code: int, p: int) -> tuple[int, ...]:
+    # a coefficient vector whose base-9 digits at p spell code; at
+    # p = 2 (mod 3) every unit is a cube, so only class 0 is spelt.  The
+    # search that pins _INSOLUBLE_CUBIC_CLASSES decides these vectors.
+    g = 2 if p == 3 else _smallest_noncube(p) if p % 3 == 1 else 1
+    return tuple(p ** (code // 9**i % 9 // 3) * g ** (code // 9**i % 3) for i in range(4))
 
 
 def _cubic_class_forms(p):

@@ -620,6 +620,20 @@ def test_truncated_moments_match_hand_sum():
     assert rep.centering == "truncated"
 
 
+def test_truncated_moments_bits_equal_a_mean_of_truncated_omegas():
+    # the window's sigma sum is taken once; every record's value keeps its bits
+    records, _ = scan(CONICS, 30)
+    tab = build_sigma_table(CONICS, 200)
+    window = TruncationWindow(1, 2.0, 10.0)
+    scale = math.sqrt(1.5 * math.log(math.log(30)))
+    usable = [rec for rec in records if not rec.tainted and rec.point.height >= 3]
+    for sigma in (tab, dict(tab.entries)):
+        vals = [float(truncated_omega(rec, window, sigma)) for rec in usable]
+        for r in (1, 2):
+            rep = truncated_moments(records, 30, Fraction(3, 2), window, sigma, r)
+            assert rep.value == float(np.mean([(v / scale) ** r for v in vals]))
+
+
 def test_truncated_moments_window_must_fit():
     records, _ = scan(CONICS, 8)
     tab = build_sigma_table(CONICS, 200)
