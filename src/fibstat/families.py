@@ -496,9 +496,11 @@ def _cube_class_table(p: int) -> np.ndarray:
     """cls[u mod k] is the cube class of the unit u, k = 9, p or 1 as p = 3, 1 or 2 mod 3.
 
     For p = 2 mod 3 every unit is a cube, so one entry serves them all.
-    For p = 1 mod 3 the cubes u^3 of the units (exact in int64 for
-    p < 3.03e9) are class 0, their products with _smallest_noncube(p)
-    class 1, and the rest, 0 included, class 2.
+    For p = 1 mod 3 the cubes u^3 of the units are class 0, their products
+    with _smallest_noncube(p) class 1, and the rest, 0 included, class 2.
+    The products are exact in int64 only while (p - 1)^2 is, and the
+    columns take 33 bytes per unit; past either, SizeRefused comes before
+    anything is allocated.
     """
     if p == 3:
         table = np.full(9, -1, dtype=np.int8)
@@ -506,6 +508,11 @@ def _cube_class_table(p: int) -> np.ndarray:
         return table
     if p % 3 != 1:
         return np.zeros(1, dtype=np.int8)
+    if (p - 1) ** 2 > np.iinfo(np.int64).max:
+        raise SizeRefused(f"the cube classes mod {p} need (p - 1)^2 past int64")
+    # u and the cubes, two int64 temporaries of a product and its remainder,
+    # and the int8 table
+    check_fits_in_memory(33 * p, f"the cube classes mod {p}")
     u = np.arange(1, p, dtype=np.int64)
     cubes = u * u % p * u % p
     table = np.full(p, 2, dtype=np.int8)

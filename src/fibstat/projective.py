@@ -2,10 +2,11 @@
 
 A point of P^n(Q) is stored as its primitive integer vector with first nonzero
 coordinate positive; its height is the sup-norm of that vector.  The module
-enumerates all points of height <= B (one at a time, in numpy slabs, or as
-coprimality masks over a shared tail grid), counts them exactly (including counts
-restricted to congruence classes mod a squarefree Q), and computes the size of
-P^n(Z/Q) for arbitrary moduli.
+enumerates all points of height <= B (one at a time, or in numpy slabs built
+from one per-lead coprimality mask over the tail grid, which the exhaustive
+scans share), counts them exactly (including counts restricted to congruence
+classes mod a squarefree Q), and computes the size of P^n(Z/Q) for arbitrary
+moduli.
 
 Both exact counts are one Moebius inversion over the content k of integer
 vectors, the sum of mu(k) g(B // k); the k sharing a quotient B // k form a run
@@ -29,7 +30,8 @@ __all__ = [
     "cn",
     "proj_size",
     "enumerate_points",
-    "lead_masks",
+    "lead_primes",
+    "clear_imprimitive",
     "point_slabs",
     "count_points",
     "residue_classes",
@@ -143,41 +145,44 @@ def enumerate_points(n: int, B: int) -> Iterator[ProjPoint]:
                     yield ProjPoint(coords, max(lead, max(abs(t) for t in tail)))
 
 
-def lead_masks(n: int, B: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The points of height <= B as (zeros, lead, mask), in enumerate_points order.
-
-    mask is a fresh boolean array over the tail grid [-B, B]^(n - zeros)
-    (index k on an axis holds k - B), True where (0,..,0, lead, tail) is
-    primitive: it clears, for each prime p | lead, the strided slice
-    B % p :: p on every axis, where p divides the whole tail.  With no tail
-    left only lead 1 is yielded.
-    """
-    if n < 1 or B < 1:
-        raise ValueError("need n >= 1 and B >= 1")
+def lead_primes(B: int) -> list[list[int]]:
+    """The primes dividing each lead a = 1..B, lead a at index a - 1."""
     index, prime = prime_support(np.arange(1, B + 1))
-    primes_of = np.split(prime, np.searchsorted(index, np.arange(1, B)))  # lead a at a - 1
-    for zeros in range(n + 1):
-        tail_len = n - zeros
-        for lead in range(1, B + 1 if tail_len else 2):
-            mask = np.ones((2 * B + 1,) * tail_len, dtype=bool)
-            for p in primes_of[lead - 1].tolist():
-                mask[(slice(B % p, None, p),) * tail_len] = False
-            yield zeros, lead, mask
+    return [ps.tolist() for ps in np.split(prime, np.searchsorted(index, np.arange(1, B)))]
+
+
+def clear_imprimitive(mask: np.ndarray, B: int, primes: list[int]) -> np.ndarray:
+    """mask over a tail grid [-B, B]^k, cleared in place where (lead, tail) is not primitive.
+
+    Index k on an axis holds k - B.  primes are those of the lead
+    (lead_primes); for each p it clears the strided slice B % p :: p on
+    every axis, where p divides the whole tail.  Returns mask.
+    """
+    for p in primes:
+        mask[(slice(B % p, None, p),) * mask.ndim] = False
+    return mask
 
 
 def point_slabs(n: int, B: int) -> Iterator[np.ndarray]:
     """Canonical primitive vectors of height <= B in numpy slabs (N, n+1).
 
-    Same point set as enumerate_points, materialized slab-by-slab (one slab per
-    leading coordinate value, the rows of its lead_masks mask in grid order)
-    for vectorized consumers.
+    Same point set as enumerate_points, in its order, materialized
+    slab-by-slab (one slab per leading coordinate value, the primitive
+    tails of clear_imprimitive in grid order) for vectorized consumers.
+    With no tail left only lead 1 is a point.
     """
-    for zeros, lead, mask in lead_masks(n, B):
-        out = np.empty((np.count_nonzero(mask), n + 1), dtype=np.int64)
-        out[:, :zeros] = 0
-        out[:, zeros] = lead
-        out[:, zeros + 1 :] = np.argwhere(mask) - B
-        yield out
+    if n < 1 or B < 1:
+        raise ValueError("need n >= 1 and B >= 1")
+    primes_of = lead_primes(B)
+    for zeros in range(n + 1):
+        tail_len = n - zeros
+        for lead in range(1, B + 1 if tail_len else 2):
+            mask = clear_imprimitive(np.ones((2 * B + 1,) * tail_len, bool), B, primes_of[lead - 1])
+            out = np.empty((np.count_nonzero(mask), n + 1), dtype=np.int64)
+            out[:, :zeros] = 0
+            out[:, zeros] = lead
+            out[:, zeros + 1 :] = np.argwhere(mask) - B
+            yield out
 
 
 def _content_sum(B: int, g: Callable[[int], int], coprime_to: int = 1) -> int:

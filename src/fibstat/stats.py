@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .families import (
     sigma_empirical,
 )
 from .localsolve import INF, Place
-from .projective import count_points, enumerate_points, lead_masks
+from .projective import clear_imprimitive, count_points, enumerate_points, lead_primes
 
 __all__ = [
     "RecordSet",
@@ -216,25 +215,36 @@ def scan(family: FamilyDescriptor, B: int, S=(INF,)):
 
 
 class _PlaceGrids:
-    """omega and taint at the places outside S, as grids over the tail grid.
+    """omega, taint and the rows of a scan at B, lead by lead, over the tail grid.
 
     Position t of the tail grid [-B, B]^n (index k on an axis holds k - B)
-    stands for the row (a, t) of a lead a.  Each prime p <= max(A, B) and
-    the real place, outside S, read family.digit_model, with digits
-    computed once over [-B, B] (0, which no row holds, reads as 1) and over
-    the leads 1..B, and model.code packs them into a position's code,
-    broadcast.  The real place, a prime p <= A, or p | a, is decided on the
-    whole grid.  Otherwise p can only obstruct on the hyperplanes p | t_i,
-    each the strided slice B % p :: p of axis i, and counts at the first
-    axis whose entry it divides.  The verdicts depend on a only through its
-    key, 2 * digit + 1 when decided on the whole grid and 2 * digit
-    otherwise; every lead is positive, so the real place has one key.  warm
-    builds the masks of every key the leads 1..B ask for (the bundled
-    models' verdicts are fixed tables, so nothing is searched), and lead
-    only reads what warm kept, so threads may share one instance.
+    stands for the row (a, t) of a lead a: the smooth fibres with no
+    leading zero, which come first in point_slabs order; every later point
+    has a zero coordinate, so every point not a row is singular.  Each
+    prime p <= max(A, B) and the real place, outside S, read
+    family.digit_model, with digits computed once over [-B, B] (0, which
+    no row holds, reads as 1) and over the leads 1..B, and model.code packs
+    them into a position's code, broadcast.  The real place, a prime p <= A,
+    or p | a, is decided on the whole grid.  Otherwise p can only obstruct
+    on the hyperplanes p | t_i, each the strided slice B % p :: p of axis i,
+    and counts at the first axis whose entry it divides.  The verdicts
+    depend on a only through its key, 2 * digit + 1 when decided on the
+    whole grid and 2 * digit otherwise; every lead is positive, so the real
+    place has one key.  The constructor warms, on the calling thread, the
+    masks of every key the leads 1..B ask for (the bundled models' verdicts
+    are fixed tables, so nothing is searched), and lead only reads what was
+    kept, so threads may share one instance.
+
+    reserve is what the caller holds besides the kept verdict masks; both
+    are checked against physical memory (SizeRefused) before each key is
+    decided, so a scan too large to walk is refused before its first grid.
     """
 
-    def __init__(self, family: FamilyDescriptor, B: int, S: tuple):
+    def __init__(self, family: FamilyDescriptor, B: int, S: tuple, reserve: int):
+        if B < 3:
+            raise ValueError("need B >= 3")
+        what = f"a scan at B={B}"
+        check_fits_in_memory(reserve, what)
         n = family.n
         self.B, self.shape = B, (2 * B + 1,) * n
         side = np.arange(-B, B + 1)
@@ -249,6 +259,9 @@ class _PlaceGrids:
                 whole = leads % p == 0 if family.A < p < INF else np.ones(B, bool)
                 keys = 2 * model.digits(leads) + whole
                 self.places.append((p, model, axes, keys, {}))
+        self.warm(reserve, what)
+        self.primes_of = lead_primes(B)
+        self.nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in _tail_axes(n, B)])
 
     def _parts(self, p, model, axes, digit, whole):
         # (grid index, insoluble mask, undecided mask) per decided region,
@@ -271,12 +284,7 @@ class _PlaceGrids:
         return parts
 
     def warm(self, reserve: int, what: str):
-        """Decide every key the leads 1..B ask for.
-
-        Before each key, the masks kept so far plus reserve bytes are
-        checked against physical memory (SizeRefused), so a scan too large
-        to walk is refused before its first grid.
-        """
+        """Decide every key the leads 1..B ask for, checking memory before each."""
         held = 0
         for p, model, axes, keys, kept in self.places:
             for key in sorted(set(keys.tolist())):
@@ -285,8 +293,8 @@ class _PlaceGrids:
                 held += sum(m.nbytes for part in kept[key] for m in part[1:] if m is not None)
         check_fits_in_memory(held + reserve, what)
 
-    def lead(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """(omega as uint8, taint) grids of the rows with lead a."""
+    def lead(self, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(omega as uint8, taint, keep) grids of lead a; keep marks its rows."""
         omega = np.zeros(self.shape, np.uint8)
         taint = np.zeros(self.shape, bool)
         for p, model, axes, keys, kept in self.places:
@@ -295,7 +303,7 @@ class _PlaceGrids:
                     omega[at] += insoluble
                 if undecided is not None:
                     taint[at] |= undecided
-        return omega, taint
+        return omega, taint, clear_imprimitive(self.nonzero.copy(), self.B, self.primes_of[a - 1])
 
 
 def _tail_axes(n: int, B: int) -> list[np.ndarray]:
@@ -303,66 +311,31 @@ def _tail_axes(n: int, B: int) -> list[np.ndarray]:
     return list(np.ix_(*[np.arange(-B, B + 1, dtype=np.min_scalar_type(-B - 1))] * n))
 
 
-def _smooth_leads(n: int, B: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, keep) per lead a of projective.lead_masks with no leading zero.
-
-    keep marks, over the tail grid, the rows (a, t): the primitive
-    positions with no zero entry, in point_slabs order.  Those leads come
-    first and every later point has a zero coordinate, so the walk stops
-    there and every point not a row is singular.  Leads come one at a
-    time; no two masks are held by the walk at once.
-    """
-    nonzero = functools.reduce(np.logical_and, [ax != 0 for ax in _tail_axes(n, B)])
-    for zeros, lead, mask in lead_masks(n, B):
-        if zeros:
-            return
-        mask &= nonzero
-        yield lead, mask
-
-
-def _warm_scan(
-    family: FamilyDescriptor, B: int, S: tuple, reserve: int
-) -> tuple[_PlaceGrids, Iterator[tuple[int, np.ndarray]]]:
-    """The place grids of a scan at B, warmed on the calling thread, and its
-    walk over the smooth leads.
-
-    reserve is what the caller holds besides the kept verdict masks; both
-    are checked against physical memory (ValueError) before each key warm
-    decides, so a scan too large to walk is refused before its first grid.
-    """
-    if B < 3:
-        raise ValueError("need B >= 3")
-    what = f"a scan at B={B}"
-    check_fits_in_memory(reserve, what)
-    places = _PlaceGrids(family, B, S)
-    places.warm(reserve, what)
-    return places, _smooth_leads(family.n, B)
-
-
 def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     """Exhaustive scan of all points of height <= B, columnar.
 
     The row-level oracle path: it holds each row's omega, height and taint,
     which the row-level tests and reductions read; fibstat tau scans into
-    scan_tally instead, which holds per-j counts only.  Both walk
-    _smooth_leads and decide the places outside S (the real place, and the
-    primes: only those <= B can divide a coordinate) on the grid through
-    their digit_model (_PlaceGrids).  The columns are allocated once for all
-    count_points(n, B) points, filled lead by lead and returned as views of
-    the rows filled, so no column is held twice; columns above physical
-    memory raise SizeRefused before anything is allocated.
+    scan_tally instead, which holds per-j counts only.  Both take the leads
+    a = 1..B through _PlaceGrids.lead, which decides the places outside S
+    (the real place, and the primes: only those <= B can divide a
+    coordinate) on the grid through their digit_model.  The columns are
+    allocated once for all count_points(n, B) points, filled lead by lead
+    and returned as views of the rows filled, so no column is held twice;
+    columns above physical memory raise SizeRefused before anything is
+    allocated.
     """
     S = tuple(S)
     n = family.n
     size = count_points(n, B)
     columns = (np.int64, np.int64, bool)  # omegas, heights, tainted
-    places, leads = _warm_scan(family, B, S, size * sum(np.dtype(t).itemsize for t in columns))
+    places = _PlaceGrids(family, B, S, size * sum(np.dtype(t).itemsize for t in columns))
     omegas, heights, tainted = (np.empty(size, t) for t in columns)
     tail_height = functools.reduce(np.maximum, map(np.abs, _tail_axes(n, B))).ravel()
     filled = 0
-    for lead, keep in leads:
+    for lead in range(1, B + 1):
+        omega, taint, keep = places.lead(lead)
         idx = np.flatnonzero(keep)
-        omega, taint = places.lead(lead)
         end = filled + len(idx)
         omegas[filled:end] = omega.ravel()[idx]
         tainted[filled:end] = taint.ravel()[idx]
@@ -405,17 +378,12 @@ class ScanTally:
 _WALK_BYTES = 12
 
 
-def _tally_leads(places: _PlaceGrids, walk, lock) -> tuple[np.ndarray, int, int]:
-    """(counts per j, tainted, rows) over the leads this thread takes from walk."""
+def _tally_leads(places: _PlaceGrids, leads: range) -> tuple[np.ndarray, int, int]:
+    """(counts per j, tainted, rows) over the given leads."""
     counts = np.zeros(len(places.places) + 1, np.int64)  # omega <= the number of places
     tainted = rows = 0
-    while True:
-        with lock:
-            item = next(walk, None)
-        if item is None:
-            return counts, tainted, rows
-        lead, keep = item
-        omega, taint = places.lead(lead)
+    for lead in leads:
+        omega, taint, keep = places.lead(lead)
         rows += int(np.count_nonzero(keep))
         taint &= keep
         tainted += int(np.count_nonzero(taint))
@@ -424,32 +392,32 @@ def _tally_leads(places: _PlaceGrids, walk, lock) -> tuple[np.ndarray, int, int]
         # the gathered omegas to intp
         for j in range(int(omega.max()) + 1):
             counts[j] += np.count_nonzero((omega == j) & keep)
+    return counts, tainted, rows
 
 
 def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> ScanTally:
     """Exhaustive scan of all points of height <= B, tallied per omega.
 
-    The same walk and places as record_set, but each lead's rows are
+    The same leads and places as record_set, but each lead's rows are
     counted at once (the untainted ones per omega, the tainted ones in
-    all), so no per-point column is allocated.  The leads are
-    spread over min(threads, B) threads, each taking the next lead from
-    one shared walk and summing its own counts; integer sums do not depend
-    on order, so the tally is identical for any thread count.  Every
-    verdict mask is built by _PlaceGrids.warm before the threads start,
-    and the threads only read them.  A walk whose per-thread grids and
-    kept verdict masks exceed physical memory raises SizeRefused before its
-    first grid.
+    all), so no per-point column is allocated.  The leads are split over
+    workers = min(threads, B) pool tasks, task w taking the leads
+    w + 1, w + 1 + workers, ... and summing its own counts; integer sums
+    do not depend on order, so the tally is identical for any thread
+    count.  Every verdict mask is built by _PlaceGrids on the calling
+    thread before the tasks start, and the tasks only read them.  A scan
+    whose per-thread grids and kept verdict masks exceed physical memory
+    raises SizeRefused before its first grid.
     """
     if threads < 1:
         raise ValueError("need threads >= 1")
     n = family.n
     workers = min(threads, B)
     # the shared nonzero mask, and each thread's grids
-    places, walk = _warm_scan(family, B, tuple(S), (1 + workers * _WALK_BYTES) * (2 * B + 1) ** n)
-    lock = threading.Lock()
+    places = _PlaceGrids(family, B, tuple(S), (1 + workers * _WALK_BYTES) * (2 * B + 1) ** n)
+    strides = [range(w + 1, B + 1, workers) for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_tally_leads, places, walk, lock) for _ in range(workers)]
-        parts = [f.result() for f in futures]
+        parts = list(pool.map(functools.partial(_tally_leads, places), strides))
     counts = sum(p[0] for p in parts).tolist()
     while counts and not counts[-1]:
         counts.pop()
@@ -553,6 +521,8 @@ def sample_records(
         raise ValueError("need B >= 3")
     if sample_size < 1:
         raise ValueError("need a positive sample size")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
     if B >= 1 << 63:
         raise SizeRefused(f"a sample at B={B} needs coordinates past int64 (B < 2^63)")
     # int64 rows, then int64 omegas and heights and a bool taint column

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fibstat import families, localsolve
+from fibstat import arith, families, localsolve
 from fibstat.arith import SizeRefused, factorize, primes_up_to
 from fibstat.families import (
     CubicDecider,
@@ -665,6 +665,26 @@ def test_cube_class_table_matches_the_power_formula(p):
     want = np.where(power == 1, 0, np.where(power == noncube, 1, 2))
     table = families._cube_class_table(p)
     assert table.dtype == np.int8 and table.tolist() == want.tolist()
+
+
+def test_cube_class_table_refuses_a_prime_past_int64_squares():
+    # at p = 10^12 + 39 the unit column alone would take 7.28 TiB, and u * u
+    # would wrap; the refusal comes before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeRefused, match="int64"):
+            CubicDecider(1000000000039)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cube_class_table_refuses_columns_above_physical_memory(monkeypatch):
+    # 400 KB of physical memory cannot hold the 33 MB of columns mod 1000003
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(arith.os, "sysconf", pages.__getitem__)
+    with pytest.raises(SizeRefused, match="physical memory"):
+        families._cube_class_table(1000003)
 
 
 def _scalar_verdicts(fam, rows, places):

@@ -296,6 +296,12 @@ def test_scan_tally_validation():
         ScanTally(10, (3, 1), 0, 1, 6)
 
 
+@pytest.mark.parametrize("family, B, threads", [(CONICS, 3, 8), (CUBICS, 4, 7)])
+def test_scan_tally_more_threads_than_leads(family, B, threads):
+    # the split clamps to one task per lead, each with a one-lead range
+    assert scan_tally(family, B, threads=threads) == scan_tally(family, B)
+
+
 def test_sample_records_refuses_a_sample_above_physical_memory():
     # 10^13 rows take about 410 TB of rows and columns; the check comes
     # before any draw
@@ -401,6 +407,12 @@ def test_sampler_rejects_bad_sizes():
         sample_records(CONICS, 50, 0, seed=1)
     with pytest.raises(ValueError):
         sample_records(CONICS, 2, 10, seed=1)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_sampler_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="need threads >= 1"):
+        sample_records(CONICS, 50, 10, seed=1, threads=threads)
 
 
 # ---------------------------------------------------------------------------
