@@ -409,8 +409,9 @@ def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # diagonal cubics: canonical coefficient classes and a cached decision engine
 
-# the cube class of each unit residue mod 9, which decides it for p = 3
-_CUBE_CLASS_MOD_9 = {1: 0, 8: 0, 2: 1, 7: 1, 4: 2, 5: 2}
+# the cube class of each residue mod 9 (-1 at non-units), which decides p = 3
+_CUBE_CLASS_MOD_9 = np.array([-1, 0, 1, -1, 2, 2, -1, 1, 0], np.int8)
+_is_prime = functools.lru_cache(maxsize=1024)(is_prime)  # cube_class runs per coordinate
 
 
 def cube_class(u: int, p: int) -> int:
@@ -421,10 +422,12 @@ def cube_class(u: int, p: int) -> int:
     smallest non-cube.  For p = 3 the class is read off mod 9.
     """
     u = int(u)
+    if not _is_prime(p):
+        raise ValueError("p must be prime")
     if u % p == 0:
         raise ValueError("cube class needs a p-adic unit")
     if p == 3:
-        return _CUBE_CLASS_MOD_9[u % 9]
+        return int(_CUBE_CLASS_MOD_9[u % 9])
     if p % 3 != 1:
         return 0
     e = (p - 1) // 3
@@ -441,6 +444,27 @@ def _smallest_noncube(p: int) -> int:
         if pow(g, (p - 1) // 3, p) != 1:
             return g
     raise ValueError(f"no non-cube mod {p}")
+
+
+def _cube_classes(units: np.ndarray, p: int) -> np.ndarray:
+    """int8 cube class of each p-adic unit in units, by cube_class's rule:
+    at p = 1 (mod 3) from u^((p-1)/3) mod p by square-and-multiply over the
+    array (exact while (p - 1)^2 fits int64, which CubicDecider checks), or
+    once per residue when there are more units than residues."""
+    units = np.asarray(units, dtype=np.int64)
+    if p == 3:
+        return _CUBE_CLASS_MOD_9[units % 9]
+    if p % 3 != 1:
+        return np.zeros(units.shape, np.int8)
+    if p < units.size:
+        return _cube_classes(np.arange(p), p)[units % p]
+    e = (p - 1) // 3
+    u = t = units % p
+    for bit in bin(e)[3:]:  # the bits of e after its leading 1
+        t = t * t % p
+        if bit == "1":
+            t = t * u % p
+    return np.where(t == 1, 0, np.where(t == pow(_smallest_noncube(p), e, p), 1, 2)).astype(np.int8)
 
 
 def cubic_criterion(coeffs: Sequence[int], p: int) -> bool:
@@ -492,35 +516,6 @@ def _canonical_digit_codes() -> np.ndarray:
     return sum(col * 9**i for i, col in enumerate(cols)).min(axis=0)
 
 
-def _cube_class_table(p: int) -> np.ndarray:
-    """cls[u mod k] is the cube class of the unit u, k = 9, p or 1 as p = 3, 1 or 2 mod 3.
-
-    For p = 2 mod 3 every unit is a cube, so one entry serves them all.
-    For p = 1 mod 3 the cubes u^3 of the units are class 0, their products
-    with _smallest_noncube(p) class 1, and the rest, 0 included, class 2.
-    The products are exact in int64 only while (p - 1)^2 is, and the
-    columns take 33 bytes per unit; past either, SizeRefused comes before
-    anything is allocated.
-    """
-    if p == 3:
-        table = np.full(9, -1, dtype=np.int8)
-        table[list(_CUBE_CLASS_MOD_9)] = list(_CUBE_CLASS_MOD_9.values())
-        return table
-    if p % 3 != 1:
-        return np.zeros(1, dtype=np.int8)
-    if (p - 1) ** 2 > np.iinfo(np.int64).max:
-        raise SizeRefused(f"the cube classes mod {p} need (p - 1)^2 past int64")
-    # u and the cubes, two int64 temporaries of a product and its remainder,
-    # and the int8 table
-    check_fits_in_memory(33 * p, f"the cube classes mod {p}")
-    u = np.arange(1, p, dtype=np.int64)
-    cubes = u * u % p * u % p
-    table = np.full(p, 2, dtype=np.int8)
-    table[cubes] = 0
-    table[cubes * _smallest_noncube(p) % p] = 1
-    return table
-
-
 _RANKS = (Solubility.SOLUBLE, Solubility.INSOLUBLE, Solubility.UNKNOWN)
 
 
@@ -570,9 +565,9 @@ class CubicDecider:
     verdict table.
 
     A coefficient's digit records its valuation mod 3 and the cube class of
-    its unit part, read from the cube-class table of p; the verdict of a
-    row's digits is the same at every prime of one class, p = 2 (mod 3),
-    p = 3 or p = 1 (mod 3), so it comes from _cubic_verdicts at 2, 3 or 7.
+    its unit part (_cube_classes); the verdict of a row's digits is the
+    same at every prime of one class, p = 2 (mod 3), p = 3 or p = 1 (mod 3),
+    so it comes from _cubic_verdicts at 2, 3 or 7.
     model is the DigitModel: valuations = r (mod 3) have mass
     p^-r / (1 + 1/p + 1/p^2), spread evenly over the unit cube classes.
     """
@@ -581,7 +576,8 @@ class CubicDecider:
         if not is_prime(p):
             raise ValueError("p must be prime")
         self.p = int(p)
-        self._classes = _cube_class_table(self.p)
+        if self.p % 3 == 1 and (self.p - 1) ** 2 > np.iinfo(np.int64).max:
+            raise SizeRefused(f"the cube classes mod {p} need (p - 1)^2 past int64")
         rep = 3 if self.p == 3 else 7 if self.p % 3 == 1 else 2
         k = 1 if rep == 2 else 3
         mass = 1 / (1 + Fraction(1, self.p) + Fraction(1, self.p**2)) / k
@@ -606,7 +602,7 @@ class CubicDecider:
     def _digits(self, values: np.ndarray) -> np.ndarray:
         # (valuation mod 3, cube class of the unit part) as one base-9 digit
         v, u = _strip(values, self.p)
-        return (v % 3) * 3 + self._classes[u % len(self._classes)]
+        return (v % 3) * 3 + _cube_classes(u, self.p)
 
     def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
@@ -616,8 +612,8 @@ class CubicDecider:
         return self.model.grid(coeffs)
 
 
-# bounded: a sample meets a new prime in almost every row, and a decider
-# is cheap to rebuild
+# bounded: a sample meets a new prime in almost every row, and a decider,
+# which holds only p and its model, is cheap to rebuild
 _cubic_decider = functools.lru_cache(maxsize=256)(CubicDecider)
 
 

@@ -141,7 +141,10 @@ class RecordSet:
 
         Only meaningful for exhaustive sets; the singular count is not
         re-derivable here, so it is kept only when nothing was dropped.
+        A limit above B raises ValueError: the set holds no rows past B.
         """
+        if limit > self.B:
+            raise ValueError(f"cannot truncate a set at B = {self.B} to the larger {limit}")
         keep = self.heights <= limit
         singular = self.singular_count if bool(keep.all()) else 0
         return RecordSet(

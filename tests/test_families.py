@@ -648,23 +648,27 @@ def test_cubic_decider_cache_is_bounded():
 
 
 def test_cube_class_table_matches_scalar():
+    # all the units at once take each residue's class once; one unit at a
+    # time takes its own power
     for p in (2, 3, 5, 7, 13, 31, 97):
-        table = families._cube_class_table(p)
-        mod = len(table)
-        units = [u for u in range(1, 3 * max(p, 9)) if u % p]
-        assert [int(table[u % mod]) for u in units] == [cube_class(u, p) for u in units]
+        units = [u for u in range(-3 * max(p, 9), 3 * max(p, 9)) if u % p]
+        want = [cube_class(u, p) for u in units]
+        classes = families._cube_classes(np.array(units), p)
+        assert classes.dtype == np.int8 and classes.tolist() == want
+        assert [int(families._cube_classes(np.array([u]), p)[0]) for u in units] == want
 
 
 @pytest.mark.parametrize("p", [1009, 10009, 99991])
 def test_cube_class_table_matches_the_power_formula(p):
-    # u^((p-1)/3) is 1 on the cubes and g^((p-1)/3) on g times a cube, g the
-    # smallest non-cube; 0 and the rest are class 2
-    e = (p - 1) // 3
-    power = np.array([pow(u, e, p) for u in range(p)])
-    noncube = pow(families._smallest_noncube(p), e, p)
-    want = np.where(power == 1, 0, np.where(power == noncube, 1, 2))
-    table = families._cube_class_table(p)
-    assert table.dtype == np.int8 and table.tolist() == want.tolist()
+    # the cubes u^3 of the units are class 0, their products with the
+    # smallest non-cube class 1, and the rest class 2
+    u = np.arange(1, p, dtype=np.int64)
+    cubes = u * u % p * u % p
+    want = np.full(p, 2, dtype=np.int8)
+    want[cubes] = 0
+    want[cubes * families._smallest_noncube(p) % p] = 1
+    classes = families._cube_classes(np.arange(1, p), p)
+    assert classes.dtype == np.int8 and classes.tolist() == want[1:].tolist()
 
 
 def test_cube_class_table_refuses_a_prime_past_int64_squares():
@@ -679,12 +683,20 @@ def test_cube_class_table_refuses_a_prime_past_int64_squares():
         tracemalloc.stop()
 
 
-def test_cube_class_table_refuses_columns_above_physical_memory(monkeypatch):
-    # 400 KB of physical memory cannot hold the 33 MB of columns mod 1000003
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
-    monkeypatch.setattr(arith.os, "sysconf", pages.__getitem__)
-    with pytest.raises(SizeRefused, match="physical memory"):
-        families._cube_class_table(1000003)
+def test_cubic_decider_at_a_large_prime_builds_no_table():
+    # 1000003 = 1 (mod 3): a few rows' unit classes come by powers, and
+    # nothing is allocated per residue (a p-entry table took 33 MB)
+    rows = np.random.default_rng(30).integers(1, 10**6, size=(6, 4))
+    rows[0] *= 1000003
+    tracemalloc.start()
+    try:
+        dec = CubicDecider(1000003)
+        grid = dec.decide_grid(rows)
+        assert tracemalloc.get_traced_memory()[1] < 2 << 20
+    finally:
+        tracemalloc.stop()
+    rank = {Solubility.SOLUBLE: 0, Solubility.INSOLUBLE: 1, Solubility.UNKNOWN: 2}
+    assert grid.tolist() == [rank[dec.decide(row)] for row in rows.tolist()]
 
 
 def _scalar_verdicts(fam, rows, places):
@@ -834,3 +846,9 @@ def test_cube_class_trivial_when_p_is_2_mod_3():
 def test_cube_class_rejects_non_unit():
     with pytest.raises(ValueError):
         cube_class(14, 7)
+
+
+def test_cube_class_rejects_a_composite_modulus():
+    for p in (1, 4, 8, 10, 49):
+        with pytest.raises(ValueError, match="prime"):
+            cube_class(2, p)

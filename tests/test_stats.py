@@ -329,6 +329,14 @@ def test_truncate_height():
     assert np.sort(cut.omegas).tolist() == np.sort(direct.omegas).tolist()
 
 
+def test_truncate_height_refuses_a_limit_above_b():
+    # the set holds no rows between its B and the limit, so it cannot claim them
+    rs = record_set(CONICS, 5)
+    with pytest.raises(ValueError, match="larger"):
+        rs.truncate_height(50)
+    assert rs.truncate_height(5).B == 5
+
+
 def test_record_set_column_mismatch():
     with pytest.raises(ValueError):
         RecordSet(
@@ -370,8 +378,13 @@ def test_sampler_parity_with_empty_s():
 
 @pytest.mark.parametrize(
     "fam, S, B, want",
-    [(CONICS, (), 20, 150), (CUBICS, (INF,), 20, 150), (CONICS, (INF,), 10**12, 40)],
-    ids=["conics", "cubics", "conics-1e12"],
+    [
+        (CONICS, (), 20, 150),
+        (CUBICS, (INF,), 20, 150),
+        (CONICS, (INF,), 10**12, 40),
+        (CUBICS, (INF,), 10**6, 40),
+    ],
+    ids=["conics", "cubics", "conics-1e12", "cubics-1e6"],
 )
 def test_sampler_matches_scalar_omega(fam, S, B, want):
     # replay the first draw of each stream, which holds its w smooth rows,
