@@ -7,10 +7,10 @@ bundles everything the statistics layer needs: the discriminant form f (the
 product of the coordinates, so a fibre is smooth iff no coordinate is 0), a
 bad-prime bound A, the divisor actions and the growth constant Delta summed
 from them, the scalar per-place insolubility test theta, and the
-hooks the vectorized paths run on: digit_model (at one place), theta_grid
-(at one prime per row) and an optional exact sigma_p (over an array of
-primes).  Record sets carry their descriptor, so the statistics layer
-reads every family-specific behaviour, centering included, here.
+hooks the vectorized paths run on: digit_model (per class of places),
+prime_class (over an array of primes) and an optional exact sigma_p (over
+an array of primes).  Record sets carry their descriptor, so the statistics
+layer reads every family-specific behaviour, centering included, here.
 
 The module also computes the local densities sigma_p (exact residue
 classification for conics, Monte Carlo over residue disks for anything
@@ -19,14 +19,13 @@ empirically.  Every verdict at one place, and every exact insoluble
 density, reads the family's DigitModel: a digit per coefficient, a code
 per row, and a verdict per code (conics: three digit-triple tables built
 from localsolve.conic_soluble; cubics: three canonical-class tables
-pinned from the local criterion; INF: theta per sign pattern).
+pinned from the local criterion; INF: theta per sign pattern), one model
+per class of places.
 
 theta(x, v) answers "does the fibre over x have NO Q_v-point"; for the
 cubic family an undecidable point raises Undecided rather than guessing,
-and omega_pi turns that into a tainted record.  Only the sampler's primes
-> A, one per row, bypass digit_model through theta_grid.  The scalar
-theta, omega_pi and CubicDecider.decide are the reference tests hold them
-to.
+and omega_pi turns that into a tainted record.  The scalar theta,
+omega_pi and CubicDecider.decide are the reference tests hold them to.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ __all__ = [
     "insoluble_density",
     "calibrate_A",
     "conic_insoluble_grid",
+    "theta_grid",
     "CubicDecider",
     "cube_class",
     "cubic_criterion",
@@ -125,11 +125,9 @@ class FamilyDescriptor:
     delta_total(divisors); a divisor whose delta is 1 adds nothing to it and
     may be left out, so the cubics list none.
 
-    digit_model(v) is the DigitModel that decides the place v, a prime or
-    INF; every verdict at one place reads it.  theta_grid(rows, primes) is
-    theta over an (N, n+1) array of nonzero rows at an int64 array of
-    primes > A, one per row, as int8: 0 soluble, 1 insoluble, 2 undecided,
-    so a sampled batch whose rows obstruct at different primes is one call.
+    digit_model(v) is the DigitModel of the class of the place v, a prime
+    or INF, one object per class; prime_class maps an int64 array of primes
+    to the representative prime of each one's class (theta_grid).
     sigma_p, when present, gives the exact local densities: it takes an
     int64 array of primes p > A and returns int64 arrays (numerators,
     denominators), one exact fraction per prime, not necessarily in lowest
@@ -140,7 +138,7 @@ class FamilyDescriptor:
     n: int
     A: int
     theta: Callable[[Sequence[int], Place], bool]
-    theta_grid: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    prime_class: Callable[[np.ndarray], np.ndarray]
     digit_model: Callable[[Place], DigitModel]
     divisors: tuple[ComponentAction, ...]
     nonsplit: Optional[Callable[[Sequence[int], int], bool]] = None
@@ -230,8 +228,8 @@ def diagonal_conics() -> FamilyDescriptor:
         n=2,
         A=2,
         theta=_conic_theta,
-        theta_grid=lambda rows, primes: conic_insoluble_grid(rows, primes).view(np.int8),
-        digit_model=_conic_model,
+        prime_class=lambda primes: _CONIC_CLASS[primes % 4],
+        digit_model=lambda v: _conic_class_model(v if v == INF else int(_CONIC_CLASS[v % 4])),
         divisors=tuple(load_bundled_actions("conic_action.txt").values()),
         nonsplit=_conic_nonsplit,
         sigma_p=_conic_sigma_terms,
@@ -262,21 +260,22 @@ def _strip(col: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DigitModel:
-    """How a family decides one place v, a prime p or INF.
+    """How a family decides one class of places: INF, or a class of primes.
 
-    digits maps nonzero int64 values to digits below base, and code packs a
-    row's digits into one code, coordinate i's digit weighted base**i;
-    _code_digits unpacks every code below base**width.  verdicts maps an
-    integer array of codes, of any shape, to int8 of that shape:
-    0 soluble, 1 insoluble, 2 undecided.  masses[d] is the exact Haar mass
-    of the values in Z_p with digit d, and a digit reads margin p-adic
-    digits of the unit part; at INF the digit is the sign (_sign_model).
+    digits(values, p) maps nonzero int64 values to digits below base at p, a
+    place of the class or an int64 array of one prime per value; code packs
+    a row's digits into one code, coordinate i's digit weighted base**i;
+    _code_digits unpacks every code below base**width.  verdicts maps codes,
+    of any shape, to int8 of that shape: 0 soluble, 1 insoluble, 2 undecided.
+    masses(p)[d] is the exact Haar mass of the values in Z_p with digit d,
+    and a digit reads margin p-adic digits of the unit part; at INF the
+    digit is the sign (_sign_model).
     """
 
     base: int
-    digits: Callable[[np.ndarray], np.ndarray]
+    digits: Callable[[np.ndarray, Place | np.ndarray], np.ndarray]
     verdicts: Callable[[np.ndarray], np.ndarray]
-    masses: tuple[Fraction, ...]
+    masses: Callable[[Place], tuple[Fraction, ...]]
     margin: int
 
     def code(self, digits: Sequence[np.ndarray]) -> np.ndarray:
@@ -286,24 +285,41 @@ class DigitModel:
         terms = (np.asarray(d, dtype) * self.base**i for i, d in enumerate(digits))
         return functools.reduce(np.add, terms)
 
-    def grid(self, rows) -> np.ndarray:
-        """int8 verdict per row of nonzero entries; a zero raises ValueError.
+    def grid(self, rows, p) -> np.ndarray:
+        """int8 verdict per row of nonzero entries at p (as in digits); a zero
+        raises ValueError.
 
-        With m = max |entry|, the digits are computed once for the 2m + 1
-        values in [-m, m] and gathered when 2m + 1 is at most the row count;
-        wider rows get the digits of each coordinate column.
+        At one place, with m = max |entry|, the digits are computed once for
+        the 2m + 1 values in [-m, m] and gathered when 2m + 1 is at most the
+        row count; wider rows, and p per row, get each column's digits.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if not rows.all():
             raise ValueError("zero entry has no digit")
         m = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
-        if 2 * m + 1 > len(rows):
-            return self.verdicts(self.code([self.digits(col) for col in rows.T]))
+        if np.ndim(p) or 2 * m + 1 > len(rows):
+            return self.verdicts(self.code([self.digits(col, p) for col in rows.T]))
         # position v holds value v, so a negative entry reads from the end
         values = np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
         values[0] = 1  # stands in for 0, which no row holds
-        table = self.digits(values)
+        table = self.digits(values, p)
         return self.verdicts(self.code([table[col] for col in rows.T]))
+
+
+def theta_grid(family: FamilyDescriptor, rows, place) -> np.ndarray:
+    """theta over an (N, n+1) array of nonzero rows as int8, as in
+    DigitModel.grid, at one place or at an int64 array of N primes, one per
+    row; those rows are split by family.prime_class, and each class's model
+    decides its rows in one call."""
+    if np.ndim(place) == 0:
+        return family.digit_model(place).grid(rows, place)
+    rows, primes = np.asarray(rows, dtype=np.int64), np.asarray(place, dtype=np.int64)
+    reps = family.prime_class(primes)
+    out = np.empty(len(rows), np.int8)
+    for rep in np.flatnonzero(np.bincount(reps)).tolist():  # reps are a few small primes
+        at = np.flatnonzero(reps == rep)
+        out[at] = family.digit_model(rep).grid(rows.take(at, axis=0), primes.take(at))
+    return out
 
 
 def _code_digits(base: int, width: int) -> np.ndarray:
@@ -322,7 +338,8 @@ def _sign_model(theta: Callable[[Sequence[int], Place], bool], n: int) -> DigitM
     """
     rows = 1 - 2 * _code_digits(2, n + 1)
     table = np.array([theta(row, INF) for row in rows.tolist()], np.int8)
-    return DigitModel(2, lambda v: (v < 0).astype(np.int64), table.take, (Fraction(1, 2),) * 2, 0)
+    half = (Fraction(1, 2),) * 2
+    return DigitModel(2, lambda v, p: (v < 0).astype(np.int64), table.take, lambda p: half, 0)
 
 
 def _squares(p: int) -> np.ndarray:
@@ -342,26 +359,13 @@ def _nonresidue(units: np.ndarray, p) -> np.ndarray:
     return ~_squares(p)[units % p]
 
 
-def _conic_digits(values: np.ndarray, p) -> np.ndarray:
-    """What the conic verdict at p reads of each nonzero value, as a digit.
-
-    At an odd prime: 2 (v_p mod 2) + [unit part a non-residue], in 0..3.
-    At p = 2: 4 (v_2 mod 2) + (unit part mod 8) // 2, in 0..7.  p is one
-    prime, or an int64 array of odd primes, one per value.
-    """
-    v, u = _strip(values, p)
-    if np.ndim(p) == 0 and p == 2:
-        return (v & 1) * 4 + (u & 7) // 2
-    return (v & 1) * 2 + _nonresidue(u, p)
-
-
 @functools.lru_cache(maxsize=None)
 def _conic_verdicts(p: int) -> np.ndarray:
     """Conic insolubility per digit triple, by code da + D db + D^2 dc.
 
-    The verdict reads only the digits (_conic_digits) and p mod 4, so
+    The verdict reads only the digits (_conic_class_model) and p mod 4, so
     three tables serve every prime: p = 2, p = 1 mod 4 and p = 3 mod 4,
-    built at the representative primes 2, 5 and 3 (_conic_model picks
+    built at the representative primes 2, 5 and 3 (_CONIC_CLASS picks
     one).  Each digit gets one representative value p^e u, with u over
     1, 3, 5, 7 at p = 2 and over 1 and the non-residue 2 at p = 3, 5,
     and localsolve.conic_soluble decides each triple.
@@ -373,45 +377,49 @@ def _conic_verdicts(p: int) -> np.ndarray:
     )
 
 
+# the representative prime of each class of primes by p mod 4: 2, 5 and 3
+_CONIC_CLASS = np.array([0, 5, 2, 3])
+
+
 @functools.lru_cache(maxsize=None)
-def _conic_model(p: Place) -> DigitModel:
-    if p == INF:
+def _conic_class_model(rep: Place) -> DigitModel:
+    if rep == INF:
         return _sign_model(_conic_theta, 2)
-    # a valuation is even with mass p/(p+1), odd with 1/(p+1); the unit part
-    # is uniform on k classes: its residue symbol at odd p, mod 8 at p = 2
-    k = 4 if p == 2 else 2
-    table = _conic_verdicts(2 if p == 2 else 5 if p % 4 == 1 else 3)
-    masses = tuple(Fraction(p if e == 0 else 1, (p + 1) * k) for e in (0, 1) for _ in range(k))
-    digits = functools.partial(_conic_digits, p=p)
-    return DigitModel(2 * k, digits, table.view(np.int8).take, masses, 3 if p == 2 else 1)
+    k = 4 if rep == 2 else 2
+
+    def digits(values, p):
+        # at an odd prime 2 (v_p mod 2) + [unit part a non-residue], in 0..3;
+        # at p = 2, 4 (v_2 mod 2) + (unit part mod 8) // 2, in 0..7
+        v, u = _strip(values, p)
+        return (v & 1) * 4 + (u & 7) // 2 if k == 4 else (v & 1) * 2 + _nonresidue(u, p)
+
+    def masses(p):
+        # a valuation is even with mass p/(p+1), odd with 1/(p+1); the unit
+        # part is uniform on k classes: its residue symbol at odd p, mod 8 at 2
+        return tuple(Fraction(p if e == 0 else 1, (p + 1) * k) for e in (0, 1) for _ in range(k))
+
+    table = _conic_verdicts(rep).view(np.int8)
+    return DigitModel(2 * k, digits, table.take, masses, 3 if rep == 2 else 1)
 
 
 def conic_insoluble_grid(coeffs: np.ndarray, place: Place | np.ndarray) -> np.ndarray:
     """Vectorized theta for the conic family: a boolean per coefficient row.
 
     coeffs is an (N, 3) integer array with no zero entries (a zero raises
-    ValueError).  place is INF, a prime, or an int64 array of N odd primes,
-    one per row.  At one place this is _conic_model(place).grid.  At a
-    prime a row packs its three digits (_conic_digits) into a code, and the
-    code reads its verdict from the table for p = 2 or p mod 4
-    (_conic_verdicts); at INF the digits are signs.  Agrees with the
-    scalar Hilbert-symbol route entry by entry.
+    ValueError), and place INF, a prime or one prime per row: theta_grid on
+    the conic family, whose digits read the table for p = 2 or p mod 4
+    (_conic_verdicts).  Agrees with the scalar Hilbert-symbol route entry
+    by entry.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    if np.ndim(place):
-        p = np.asarray(place, dtype=np.int64)
-        # every odd prime's model packs the same base-4 digits
-        codes = _conic_model(3).code([_conic_digits(col, p) for col in coeffs.T])
-        return np.where(p % 4 == 1, _conic_verdicts(5)[codes], _conic_verdicts(3)[codes])
-    return _conic_model(place if place == INF else int(place)).grid(coeffs).view(bool)
+    return theta_grid(diagonal_conics(), coeffs, place).view(bool)
 
 
 # ---------------------------------------------------------------------------
-# diagonal cubics: canonical coefficient classes and a cached decision engine
+# diagonal cubics: canonical coefficient classes and one digit model per class of prime
 
 # the cube class of each residue mod 9 (-1 at non-units), which decides p = 3
 _CUBE_CLASS_MOD_9 = np.array([-1, 0, 1, -1, 2, 2, -1, 1, 0], np.int8)
-_is_prime = functools.lru_cache(maxsize=1024)(is_prime)  # cube_class runs per coordinate
+_is_prime = functools.lru_cache(maxsize=1024)(is_prime)  # per coordinate and per theta
 
 
 def cube_class(u: int, p: int) -> int:
@@ -446,25 +454,25 @@ def _smallest_noncube(p: int) -> int:
     raise ValueError(f"no non-cube mod {p}")
 
 
-def _cube_classes(units: np.ndarray, p: int) -> np.ndarray:
-    """int8 cube class of each p-adic unit in units, by cube_class's rule:
-    at p = 1 (mod 3) from u^((p-1)/3) mod p by square-and-multiply over the
-    array (exact while (p - 1)^2 fits int64, which CubicDecider checks), or
-    once per residue when there are more units than residues."""
-    units = np.asarray(units, dtype=np.int64)
-    if p == 3:
-        return _CUBE_CLASS_MOD_9[units % 9]
-    if p % 3 != 1:
-        return np.zeros(units.shape, np.int8)
-    if p < units.size:
-        return _cube_classes(np.arange(p), p)[units % p]
+def _cube_labels(units: np.ndarray, p) -> np.ndarray:
+    """int8 cube-class label of each unit at p = 1 (mod 3), p one prime or
+    an int64 array of one per unit: from t = u^((p-1)/3) mod p, 0 where t = 1,
+    1 where 2t < p - 1 (the smaller other cube root of 1) and 2 elsewhere.
+    That is cube_class, with 1 and 2 swapped or not for every unit of one
+    prime, which no cubic verdict table sees.  A (p - 1)^2 past int64 raises
+    SizeRefused before any product could wrap."""
+    p = np.asarray(p, dtype=np.int64)
+    if (int(p.max(initial=0)) - 1) ** 2 > np.iinfo(np.int64).max:
+        raise SizeRefused(f"the cube classes mod {p.max()} need (p - 1)^2 past int64")
+    u = np.asarray(units, dtype=np.int64) % p
     e = (p - 1) // 3
-    u = t = units % p
-    for bit in bin(e)[3:]:  # the bits of e after its leading 1
+    t = np.ones_like(u)
+    for k in reversed(range(int(e.max(initial=0)).bit_length())):
         t = t * t % p
-        if bit == "1":
-            t = t * u % p
-    return np.where(t == 1, 0, np.where(t == pow(_smallest_noncube(p), e, p), 1, 2)).astype(np.int8)
+        odd = e >> k & 1
+        if odd.any():
+            t = np.where(odd, t * u % p, t)
+    return np.where(t == 1, 0, np.where(2 * t < p - 1, 1, 2)).astype(np.int8)
 
 
 def cubic_criterion(coeffs: Sequence[int], p: int) -> bool:
@@ -538,7 +546,7 @@ def _cubic_verdicts(rep: int) -> np.ndarray:
     soluble except those _INSOLUBLE_CUBIC_CLASSES lists, and every code
     reads its class's verdict; a class with no mass (unit classes 1, 2 at
     rep = 2) reads 2.  Three tables serve every prime, built at rep = 2, 3
-    and 7 (CubicDecider picks one), by the local criterion of
+    and 7 (_CUBIC_CLASS picks one), by the local criterion of
     Colliot-Thelene, Kanevsky and Sansuc (LNM 1290, 1987).  For p != 3,
     two coefficients whose valuations agree mod 3 give a smooth zero, which
     Hensel lifts, exactly when minus their ratio is a unit cube.  At
@@ -560,31 +568,43 @@ def _cubic_verdicts(rep: int) -> np.ndarray:
     return status[canonical]
 
 
-class CubicDecider:
-    """Solubility at the prime p of sum y_i x_i^3 = 0, read from a constant
-    verdict table.
+# the representative prime of each class of primes by p mod 3: 3, 7 and 2
+_CUBIC_CLASS = np.array([3, 7, 2])
 
-    A coefficient's digit records its valuation mod 3 and the cube class of
-    its unit part (_cube_classes); the verdict of a row's digits is the
-    same at every prime of one class, p = 2 (mod 3), p = 3 or p = 1 (mod 3),
-    so it comes from _cubic_verdicts at 2, 3 or 7.
-    model is the DigitModel: valuations = r (mod 3) have mass
-    p^-r / (1 + 1/p + 1/p^2), spread evenly over the unit cube classes.
+
+@functools.lru_cache(maxsize=None)
+def _cubic_class_model(rep: Place) -> DigitModel:
+    if rep == INF:
+        return _sign_model(_cubic_theta, 3)
+    k = 1 if rep == 2 else 3
+
+    def digits(values, p):
+        # (valuation mod 3, cube class of the unit part) as one base-9 digit;
+        # the class is read mod 9 at p = 3, labelled at p = 1 (mod 3), else 0
+        v, u = _strip(values, p)
+        classes = _CUBE_CLASS_MOD_9[u % 9] if rep == 3 else _cube_labels(u, p) if k == 3 else 0
+        return (v % 3) * 3 + classes
+
+    def masses(p):
+        # valuation r (mod 3) has mass p^-r / (1 + 1/p + 1/p^2), over k classes
+        mass = 1 / (1 + Fraction(1, p) + Fraction(1, p**2)) / k
+        return tuple(mass / p**r * (c < k) for r in range(3) for c in range(3))
+
+    return DigitModel(9, digits, _cubic_verdicts(rep).take, masses, 2 if rep == 3 else 1)
+
+
+class CubicDecider:
+    """Solubility at the prime p of sum y_i x_i^3 = 0, the scalar oracle of
+    the cubic digit models: model is the shared DigitModel of p's class
+    (p = 3, 1 or 2 mod 3), decide reads a row's digits by scalar valuations
+    and cube_class, and decide_grid is model.grid at p.
     """
 
     def __init__(self, p: int):
-        if not is_prime(p):
+        if not _is_prime(p):
             raise ValueError("p must be prime")
         self.p = int(p)
-        if self.p % 3 == 1 and (self.p - 1) ** 2 > np.iinfo(np.int64).max:
-            raise SizeRefused(f"the cube classes mod {p} need (p - 1)^2 past int64")
-        rep = 3 if self.p == 3 else 7 if self.p % 3 == 1 else 2
-        k = 1 if rep == 2 else 3
-        mass = 1 / (1 + Fraction(1, self.p) + Fraction(1, self.p**2)) / k
-        masses = tuple(mass / self.p**r * (c < k) for r in range(3) for c in range(3))
-        table = _cubic_verdicts(rep)
-        # cube classes of units are read mod 9 at p = 3, mod p elsewhere
-        self.model = DigitModel(9, self._digits, table.take, masses, 2 if self.p == 3 else 1)
+        self.model = diagonal_cubics().digit_model(self.p)
 
     def decide(self, coords: Sequence[int]) -> Solubility:
         """The verdict of one coefficient row, its digits read by scalar
@@ -599,22 +619,9 @@ class CubicDecider:
             code += ((v % 3) * 3 + cube_class(y // p**v, p)) * 9**i
         return _RANKS[self.model.verdicts(code)]
 
-    def _digits(self, values: np.ndarray) -> np.ndarray:
-        # (valuation mod 3, cube class of the unit part) as one base-9 digit
-        v, u = _strip(values, self.p)
-        return (v % 3) * 3 + _cube_classes(u, self.p)
-
     def decide_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """int8 verdict per row: 0 soluble, 1 insoluble, 2 undecided.
-
-        coeffs is (N, 4) with nonzero entries; a zero raises ValueError.
-        """
-        return self.model.grid(coeffs)
-
-
-# bounded: a sample meets a new prime in almost every row, and a decider,
-# which holds only p and its model, is cheap to rebuild
-_cubic_decider = functools.lru_cache(maxsize=256)(CubicDecider)
+        """int8 verdict per (N, 4) row of nonzero entries, as DigitModel.grid."""
+        return self.model.grid(coeffs, self.p)
 
 
 def _cubic_theta(x, place: Place) -> bool:
@@ -623,20 +630,10 @@ def _cubic_theta(x, place: Place) -> bool:
         raise ValueError("cubic theta needs a smooth fibre (nonzero coefficients)")
     if place == INF:
         return False  # odd-degree diagonal forms always have real points
-    verdict = _cubic_decider(int(place)).decide(coords)
+    verdict = CubicDecider(place).decide(coords)
     if verdict is Solubility.UNKNOWN:
         raise Undecided(coords, place, "search depth or budget exhausted")
     return verdict is Solubility.INSOLUBLE
-
-
-def _cubic_theta_grid(rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    # one cached decider call per distinct prime
-    out = np.empty(len(rows), np.int8)
-    order = np.argsort(primes, kind="stable")
-    distinct, starts = np.unique(primes[order], return_index=True)
-    for p, sel in zip(distinct.tolist(), np.split(order, starts[1:])):
-        out[sel] = _cubic_decider(p).decide_grid(rows[sel])
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -647,8 +644,8 @@ def diagonal_cubics() -> FamilyDescriptor:
         n=3,
         A=3,
         theta=_cubic_theta,
-        theta_grid=_cubic_theta_grid,
-        digit_model=lambda v: _sign_model(_cubic_theta, 3) if v == INF else _cubic_decider(v).model,
+        prime_class=lambda primes: _CUBIC_CLASS[primes % 3],
+        digit_model=lambda v: _cubic_class_model(v if v == INF else int(_CUBIC_CLASS[v % 3])),
         divisors=(),
     )
 
@@ -803,7 +800,7 @@ def sigma_empirical(
     # valuation(v) <= depth - margin, and v != 0, iff p^(depth - margin + 1) does not divide v
     stable = p ** max(0, precision_depth - model.margin + 1)
     decided = rows[(rows % stable).all(axis=1)]
-    verdicts = model.grid(decided)
+    verdicts = model.grid(decided, p)
     insoluble = int((verdicts == 1).sum())
     unknown = sample_size - len(decided) + int((verdicts == 2).sum())
     q = insoluble / sample_size
@@ -859,7 +856,7 @@ def insoluble_density(family: FamilyDescriptor, p: int) -> Fraction:
     if not is_prime(p):
         raise ValueError("p must be prime")
     model = family.digit_model(p)
-    masses = np.array(model.masses, dtype=object)
+    masses = np.array(model.masses(p), dtype=object)
     rows = _code_digits(model.base, family.n + 1)
     rows = rows[(masses != 0)[rows].all(axis=1)]
     verdicts = model.verdicts(model.code(rows.T))
@@ -910,7 +907,7 @@ def _units_can_obstruct(family: FamilyDescriptor, p: int) -> bool:
     model = family.digit_model(p)
     units = np.arange(1, p**model.margin + 1)
     is_unit = np.zeros(model.base, bool)
-    is_unit[model.digits(units[units % p != 0])] = True
+    is_unit[model.digits(units[units % p != 0], p)] = True
     rows = _code_digits(model.base, family.n + 1)
     rows = rows[is_unit[rows].all(axis=1)]
     return bool(model.verdicts(model.code(rows.T)).any())
@@ -941,7 +938,7 @@ def calibrate_A(family: FamilyDescriptor, p_max: int, B_cal: int) -> Calibration
             cand = rows[(rows % p != 0).all(axis=1)]
             if len(cand) == 0:
                 continue
-            verdicts = family.digit_model(p).grid(cand)
+            verdicts = family.digit_model(p).grid(cand, p)
             bad_rows = cand[verdicts == 1]
             und_rows = cand[verdicts == 2]
             if len(und_rows) and p not in undecided:

@@ -33,6 +33,7 @@ from .families import (
     disk_modulus,
     omega_pi,
     sigma_empirical,
+    theta_grid,
 )
 from .localsolve import INF, Place
 from .projective import clear_imprimitive, count_points, enumerate_points, lead_primes
@@ -257,10 +258,10 @@ class _PlaceGrids:
         for p in [*primes_up_to(max(family.A, B)).tolist(), INF]:
             if p not in S:
                 model = family.digit_model(p)
-                digits = model.digits(side)
+                digits = model.digits(side, p)
                 axes = [digits.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
                 whole = leads % p == 0 if family.A < p < INF else np.ones(B, bool)
-                keys = 2 * model.digits(leads) + whole
+                keys = 2 * model.digits(leads, p) + whole
                 self.places.append((p, model, axes, keys, {}))
         self.warm(reserve, what)
         self.primes_of = lead_primes(B)
@@ -494,9 +495,9 @@ def _sample_block(family, rows, S):
     tally = np.zeros(len(rows), np.int64)
     for v in [*primes_up_to(family.A).tolist(), INF]:
         if v not in S:
-            tally += _TALLY[family.digit_model(v).grid(rows)]
+            tally += _TALLY[theta_grid(family, rows, v)]
     row = row[keep]
-    np.add.at(tally, row, _TALLY[family.theta_grid(rows[row], prime[keep])])
+    np.add.at(tally, row, _TALLY[theta_grid(family, rows[row], prime[keep])])
     return tally & _INSOLUBLE_MASK, tally > _INSOLUBLE_MASK
 
 

@@ -380,7 +380,7 @@ def test_digit_verdicts_invariant_under_common_scaling(fam, p):
     rows = rng.integers(-60, 61, size=(400, fam.n + 1))
     rows = rows[(rows != 0).all(axis=1)]
     model = fam.digit_model(p)
-    assert model.grid(rows).tolist() == model.grid(p * rows).tolist()
+    assert model.grid(rows, p).tolist() == model.grid(p * rows, p).tolist()
 
 
 def test_sigma_empirical_conics_vs_exact_disks():
@@ -531,6 +531,12 @@ def test_conic_grid_matches_scalar():
         grid = conic_insoluble_grid(coeffs, p)
         for g, row in zip(grid.tolist(), coeffs.tolist()):
             assert g == (not conic_soluble(*row, p)), (row, p)
+    # one prime per row, 2 among them
+    primes = np.resize([2, 3, 5, 7, 13, 97, *bigs], len(coeffs))
+    grid = conic_insoluble_grid(coeffs, primes)
+    assert grid.dtype == bool
+    for g, row, p in zip(grid.tolist(), coeffs.tolist(), primes.tolist()):
+        assert g == (not conic_soluble(*row, p)), (row, p)
 
 
 def _bounded_rows(p, width, seed):
@@ -619,6 +625,7 @@ def test_cubic_verdicts_run_no_search(monkeypatch):
 
     monkeypatch.setattr(localsolve, "padic_point_search", spy)
     families._cubic_verdicts.cache_clear()
+    families._cubic_class_model.cache_clear()
     primes = (2, 3, 5, 7, 13, 19, 31)
     first = decide_all(primes)
     assert decide_all(primes) == first
@@ -642,45 +649,92 @@ def test_canonical_digit_codes_match_sort():
     assert np.array_equal(families._canonical_digit_codes(), _canonical_codes_by_sort())
 
 
-def test_cubic_decider_cache_is_bounded():
-    maxsize = families._cubic_decider.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize < 10**4
+def test_digit_model_is_one_object_per_class():
+    # no state per prime: every prime of a class shares its model
+    cubics, conics = diagonal_cubics(), diagonal_conics()
+    assert cubics.digit_model(7) is cubics.digit_model(13) is cubics.digit_model(1000003)
+    assert cubics.digit_model(2) is cubics.digit_model(5) is cubics.digit_model(11)
+    assert cubics.digit_model(3) is not cubics.digit_model(7)
+    assert conics.digit_model(5) is conics.digit_model(13) is conics.digit_model(1000033)
+    assert conics.digit_model(3) is conics.digit_model(7)
+    assert conics.digit_model(2) is not conics.digit_model(3)
+    assert CubicDecider(7).model is CubicDecider(13).model
 
 
-def test_cube_class_table_matches_scalar():
-    # all the units at once take each residue's class once; one unit at a
-    # time takes its own power
+def _labels_up_to_a_swap(labels, want):
+    # label 0 exactly where cube_class is 0; 1 and 2 as cube_class has them,
+    # or swapped, one way for every unit
+    labels, want = np.asarray(labels), np.asarray(want)
+    swapped = np.where(want == 0, 0, 3 - want)
+    return np.array_equal(labels, want) or np.array_equal(labels, swapped)
+
+
+def test_cube_labels_match_cube_class_up_to_a_swap():
+    # at p = 1 (mod 3) the labels, one prime for all units and one per unit
+    # for units at several primes at once; at every prime the cubic model's
+    # digits, against valuations and cube_class
+    units = {p: [u for u in range(-3 * p, 3 * p) if u % p] for p in (7, 13, 31, 97, 1009)}
+    want = {p: [cube_class(u, p) for u in us] for p, us in units.items()}
+    for p, us in units.items():
+        labels = families._cube_labels(np.array(us), p)
+        assert labels.dtype == np.int8 and _labels_up_to_a_swap(labels, want[p]), p
+    primes = np.concatenate([[p] * len(us) for p, us in units.items()])
+    mixed = families._cube_labels(np.concatenate(list(units.values())), primes)
+    for p in units:
+        assert _labels_up_to_a_swap(mixed[primes == p], want[p]), p
+    fam = diagonal_cubics()
     for p in (2, 3, 5, 7, 13, 31, 97):
-        units = [u for u in range(-3 * max(p, 9), 3 * max(p, 9)) if u % p]
-        want = [cube_class(u, p) for u in units]
-        classes = families._cube_classes(np.array(units), p)
-        assert classes.dtype == np.int8 and classes.tolist() == want
-        assert [int(families._cube_classes(np.array([u]), p)[0]) for u in units] == want
+        values = [v for v in range(-3 * p * p, 3 * p * p) if v]
+        digits = fam.digit_model(p).digits(np.array(values), p)
+        vals = [arith.valuation(v, p) for v in values]
+        classes = [cube_class(v // p**w, p) for v, w in zip(values, vals)]
+        assert (digits // 3).tolist() == [w % 3 for w in vals]
+        assert _labels_up_to_a_swap(digits % 3, classes), p
 
 
 @pytest.mark.parametrize("p", [1009, 10009, 99991])
-def test_cube_class_table_matches_the_power_formula(p):
-    # the cubes u^3 of the units are class 0, their products with the
-    # smallest non-cube class 1, and the rest class 2
+def test_cube_labels_match_the_cubes_scatter(p):
+    # the cubes u^3 of the units are class 0, their products with one
+    # non-cube one class and with its square the other; the label calls the
+    # class of the smaller nontrivial cube root of 1 class 1
     u = np.arange(1, p, dtype=np.int64)
     cubes = u * u % p * u % p
+    g = families._smallest_noncube(p)
     want = np.full(p, 2, dtype=np.int8)
     want[cubes] = 0
-    want[cubes * families._smallest_noncube(p) % p] = 1
-    classes = families._cube_classes(np.arange(1, p), p)
-    assert classes.dtype == np.int8 and classes.tolist() == want[1:].tolist()
+    want[cubes * g % p] = 1
+    root = pow(g, (p - 1) // 3, p)
+    if 2 * root > p - 1:
+        want = np.where(want == 0, 0, 3 - want).astype(np.int8)
+    labels = families._cube_labels(np.arange(1, p), p)
+    assert labels.dtype == np.int8 and labels.tolist() == want[1:].tolist()
 
 
-def test_cube_class_table_refuses_a_prime_past_int64_squares():
-    # at p = 10^12 + 39 the unit column alone would take 7.28 TiB, and u * u
-    # would wrap; the refusal comes before anything is allocated
+def test_cube_labels_refuse_a_prime_past_int64_squares():
+    # at p = 10^12 + 39 = 1 (mod 3), t * t would wrap int64; the refusal comes
+    # before anything is allocated, for one prime or one per unit
     tracemalloc.start()
     try:
+        for p in (1000000000039, np.array([7, 1000000000039])):
+            with pytest.raises(SizeRefused, match="int64"):
+                families._cube_labels(np.array([2, 3]), p)
         with pytest.raises(SizeRefused, match="int64"):
-            CubicDecider(1000000000039)
+            CubicDecider(1000000000039).decide_grid(np.array([[1, 2, 3, 5]]))
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_cubic_verdicts_are_unchanged_when_classes_1_and_2_swap():
+    # what lets _cube_labels stand for cube_class: swapping the unit classes
+    # 1 and 2 in every coordinate at once keeps every verdict
+    digits = families._code_digits(9, 4)
+    swapped = digits // 3 * 3 + np.array([0, 2, 1])[digits % 3]
+    codes = swapped @ 9 ** np.arange(4)
+    assert sorted(codes.tolist()) == list(range(9**4))
+    for rep in (2, 3, 7):
+        table = families._cubic_verdicts(rep)
+        assert np.array_equal(table[codes], table), rep
 
 
 def test_cubic_decider_at_a_large_prime_builds_no_table():
@@ -716,17 +770,64 @@ def test_theta_grid_matches_scalar_theta(fam):
     rows = rng.integers(-60, 61, size=(120, fam.n + 1))
     rows = rows[(rows != 0).all(axis=1)]
     for v in (2, 3, 5, 7, 13, INF):
-        grid = fam.digit_model(v).grid(rows)
-        assert grid.dtype == np.int8
-        assert grid.tolist() == _scalar_verdicts(fam, rows, [v] * len(rows)), v
-    # theta_grid: one prime > A per row, dividing a coordinate where the row has one
+        for grid in (fam.digit_model(v).grid(rows, v), families.theta_grid(fam, rows, v)):
+            assert grid.dtype == np.int8
+            assert grid.tolist() == _scalar_verdicts(fam, rows, [v] * len(rows)), v
+    # one prime per row, from 2, 3, 5, 7, 11 and 13 (every class of both
+    # families), dividing a coordinate where the row has one
     per_row = []
     for row in rows.tolist():
-        divs = sorted({q for x in row for q in factorize(x) if q > fam.A})
-        per_row.append(divs[len(per_row) % len(divs)] if divs else 7)
-    grid = fam.theta_grid(rows, np.array(per_row, np.int64))
+        divs = sorted({q for x in row for q in factorize(x) if q <= 13})
+        cycle = divs or [2, 3, 5, 7, 11, 13]
+        per_row.append(cycle[len(per_row) % len(cycle)])
+    assert set(per_row) == {2, 3, 5, 7, 11, 13}
+    grid = families.theta_grid(fam, rows, np.array(per_row, np.int64))
     assert grid.dtype == np.int8
     assert grid.tolist() == _scalar_verdicts(fam, rows, per_row)
+
+
+def _largest_prime_below(top, residue):
+    q = top - (top - residue) % 3
+    while not arith.is_prime(q):
+        q -= 3
+    return q
+
+
+def _cubic_rows_at(p, count, rng):
+    # rows of p^v u, v in 0..2 and |u| < 10^6, every entry inside int64
+    rows = []
+    for _ in range(count):
+        row = []
+        for v in rng.integers(0, 3, size=4).tolist():
+            while p**v > 10**12:
+                v -= 1
+            row.append(p**v * int(rng.integers(1, 10**6)) * int(rng.choice([-1, 1])))
+        rows.append(row)
+    return rows
+
+
+def test_theta_grid_at_many_primes_makes_one_pass_per_class(monkeypatch):
+    # one cubic batch at 2,000 distinct primes, and a few rows at 2, 3 and
+    # at the largest primes of each class whose (p - 1)^2 fits int64: every
+    # verdict is the scalar decider's, with its exact cube_class, and the
+    # digits take one _strip pass per class and column, not one per prime
+    rng = np.random.default_rng(31)
+    bound = math.isqrt(np.iinfo(np.int64).max) + 1
+    bigs = [_largest_prime_below(bound, 1), _largest_prime_below(bound, 2)]
+    primes = primes_up_to(17389).tolist()
+    assert len(primes) == 2000
+    rows, per_row = [], []
+    for p, count in [(p, 1) for p in primes] + [(q, 40) for q in (2, 3, 7, *bigs)]:
+        rows += _cubic_rows_at(p, count, rng)
+        per_row += [p] * count
+    rows = np.array(rows, np.int64)
+    sizes = _strip_sizes(monkeypatch)
+    grid = families.theta_grid(diagonal_cubics(), rows, np.array(per_row, np.int64))
+    assert len(sizes) <= 3 * 4
+    rank = {Solubility.SOLUBLE: 0, Solubility.INSOLUBLE: 1, Solubility.UNKNOWN: 2}
+    pairs = zip(rows.tolist(), per_row)
+    assert grid.tolist() == [rank[CubicDecider(p).decide(row)] for row, p in pairs]
+    assert grid[np.isin(per_row, bigs[:1])].any() and grid[np.array(per_row) == 3].any()
 
 
 @pytest.mark.parametrize(
@@ -755,15 +856,15 @@ def test_grid_value_table_and_column_routes_agree(fam):
     rows = rows[(rows != 0).all(axis=1)]
     for v in (2, 3, 5, 7, 13, INF):
         model = fam.digit_model(v)
-        by_table = model.grid(rows)
-        by_column = np.concatenate([model.grid(row[None]) for row in rows])
+        by_table = model.grid(rows, v)
+        by_column = np.concatenate([model.grid(row[None], v) for row in rows])
         assert by_table.tolist() == by_column.tolist(), v
 
 
 @pytest.mark.parametrize("fam", [diagonal_conics(), diagonal_cubics()], ids=lambda f: f.name)
 def test_real_place_model_reads_theta_on_every_sign_pattern(fam):
     model = fam.digit_model(INF)
-    assert (model.base, model.masses, model.margin) == (2, (Fraction(1, 2),) * 2, 0)
+    assert (model.base, model.masses(INF), model.margin) == (2, (Fraction(1, 2),) * 2, 0)
     signs = np.array(list(itertools.product((1, -1), repeat=fam.n + 1)))
     codes = (signs < 0) @ 2 ** np.arange(fam.n + 1)
     assert sorted(codes.tolist()) == list(range(2 ** (fam.n + 1)))
@@ -771,9 +872,9 @@ def test_real_place_model_reads_theta_on_every_sign_pattern(fam):
     rows = signs * np.arange(1, fam.n + 2) * 7
     want = _scalar_verdicts(fam, rows, [INF] * len(rows))
     assert model.verdicts(codes).tolist() == want
-    assert model.grid(rows).tolist() == want
+    assert model.grid(rows, INF).tolist() == want
     with pytest.raises(ValueError):
-        model.grid(np.array([[1] * fam.n + [0]]))
+        model.grid(np.array([[1] * fam.n + [0]]), INF)
 
 
 def test_grids_reject_zero_entries():

@@ -17,7 +17,7 @@ from hypothesis import strategies as hyp
 from scipy.special import ndtr
 
 from fibstat import families, localsolve, stats
-from fibstat.arith import factorize, primes_up_to
+from fibstat.arith import SizeRefused, factorize, primes_up_to
 from fibstat.families import (
     CubicDecider,
     DiskDensityEstimate,
@@ -131,13 +131,14 @@ def _verdicts_everywhere(model, verdict):
     return dataclasses.replace(model, verdicts=verdicts)
 
 
-def test_record_set_tests_each_prime_once_per_row():
+def test_record_set_tests_each_prime_once_per_row(monkeypatch):
     # one prime q at a time decides every code insoluble and every other
     # prime every code soluble, so a row's omega counts the times q was
     # tested on it; the scan never calls theta_grid
-    def theta_grid(rows, v):
+    def theta_grid(family, rows, v):
         raise AssertionError(f"theta_grid called at {v}")
 
+    monkeypatch.setattr(stats, "theta_grid", theta_grid)
     S = (3, 5, INF)
     smooth = np.concatenate([s[(s != 0).all(axis=1)] for s in point_slabs(2, 15)])
     primes = primes_up_to(15).tolist()
@@ -148,7 +149,7 @@ def test_record_set_tests_each_prime_once_per_row():
             requested.add(p)
             return _verdicts_everywhere(CONICS.digit_model(p), int(p == q))
 
-        spy = dataclasses.replace(CONICS, theta_grid=theta_grid, digit_model=digit_model)
+        spy = dataclasses.replace(CONICS, digit_model=digit_model)
         omegas = record_set(spy, 15, S).omegas
         assert requested == {p for p in primes if p not in S}
         # 7 divides both 7 and 14, so a row can meet a prime twice
@@ -157,8 +158,9 @@ def test_record_set_tests_each_prime_once_per_row():
         want = divided | (q <= CONICS.A) if q not in S else np.zeros(len(smooth), bool)
         assert np.array_equal(omegas == 1, want), q
     # nor with the real place outside S
-    quiet = dataclasses.replace(CONICS, theta_grid=theta_grid)
-    _assert_same_columns(record_set(CONICS, 15, ()), record_set(quiet, 15, ()))
+    records, summary = scan(CONICS, 15, ())
+    via_scan = RecordSet.from_records(records, CONICS, 15, (), summary.singular_count)
+    _assert_same_columns(via_scan, record_set(CONICS, 15, ()))
 
 
 def _moody():
@@ -269,6 +271,7 @@ def test_scan_tally_decides_every_class_on_the_calling_thread(monkeypatch):
     for threads in (1, 4):
         searched.clear()
         families._cubic_verdicts.cache_clear()
+        families._cubic_class_model.cache_clear()
         scan_tally(spied, 12, threads=threads)
         calls.append(len(searched))
     assert calls[0] == calls[1] == 0
@@ -383,8 +386,9 @@ def test_sampler_parity_with_empty_s():
         (CUBICS, (INF,), 20, 150),
         (CONICS, (INF,), 10**12, 40),
         (CUBICS, (INF,), 10**6, 40),
+        (CUBICS, (INF,), 3 * 10**9, 40),
     ],
-    ids=["conics", "cubics", "conics-1e12", "cubics-1e6"],
+    ids=["conics", "cubics", "conics-1e12", "cubics-1e6", "cubics-3e9"],
 )
 def test_sampler_matches_scalar_omega(fam, S, B, want):
     # replay the first draw of each stream, which holds its w smooth rows,
@@ -405,6 +409,13 @@ def test_sampler_matches_scalar_omega(fam, S, B, want):
     recs = [omega_pi(fam, row, S) for row in rows]
     assert rs.omegas.tolist() == [r.omega for r in recs]
     assert rs.tainted.tolist() == [r.tainted for r in recs]
+
+
+def test_sampler_refuses_cube_classes_past_int64_squares():
+    # at B = 10^12 some sampled coordinate has a prime = 1 (mod 3) whose
+    # (p - 1)^2 is past int64: the sample is refused rather than wrapped
+    with pytest.raises(SizeRefused, match="int64"):
+        sample_records(CUBICS, 10**12, 200, seed=0)
 
 
 def test_sampler_more_threads_than_rows():
