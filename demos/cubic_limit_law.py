@@ -18,7 +18,6 @@ from fibstat.families import diagonal_cubics
 from fibstat.stats import (
     cubic_density_table,
     scan_tally,
-    tau_histogram,
     tau_limit_prediction,
 )
 
@@ -30,11 +29,10 @@ fam = diagonal_cubics()
 # for the acceptance-grade numbers).
 
 for B in (12, 20, 30):
-    tally = scan_tally(fam, B)
-    th = tau_histogram(tally)
-    cond = {j: c / tally.untainted_count for j, c in sorted(th.counts.items())}
+    th = scan_tally(fam, B)
+    cond = {j: c / th.untainted_count for j, c in sorted(th.counts.items())}
     shown = ", ".join(f"tau({j}) = {v:.5f}" for j, v in cond.items())
-    print(f"B = {B:2d}: {tally.point_count:>9d} points, {shown}")
+    print(f"B = {B:2d}: {th.point_count:>9d} points, {shown}")
 
 # ----------------------------------------------------------------------
 # The limit prediction: prod_p ((1 - q_p) + q_p z) with q_p the insoluble
@@ -59,9 +57,8 @@ from fractions import Fraction
 
 from fibstat.stats import n_moments
 
-tally = scan_tally(fam, 12)
-th = tau_histogram(tally)
+th = scan_tally(fam, 12)
 for r in (1, 2, 3):
     via = sum(Fraction(j**r) * m for j, m in th.masses.items())
-    via *= Fraction(th.point_count, tally.untainted_count)
-    print(f"r = {r}: n_moments = {n_moments(tally, r)} == histogram sum {via}")
+    via *= Fraction(th.point_count, th.untainted_count)
+    print(f"r = {r}: n_moments = {n_moments(th, r)} == histogram sum {via}")

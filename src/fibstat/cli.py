@@ -318,13 +318,10 @@ def _rebuild_tau(meta, header, rows):
                 TauPrediction(int(j), int(meta["prime_cutoff"]), float(a), float(b), float(c))
             )
     hist = TauHistogram(
-        B,
-        counts,
-        masses,
-        int(meta["tainted_count"]),
-        int(meta["singular_count"]),
-        point_count,
+        B, counts, int(meta["tainted_count"]), int(meta["singular_count"]), point_count
     )
+    if masses != hist.masses:
+        raise ValueError("masses must be counts over the point count")
     return {"histogram": hist, "predictions": predictions}
 
 
@@ -464,11 +461,11 @@ def _run_ekac(cfg: RunConfig):
 
 def _run_tau(cfg: RunConfig):
     fam = family_by_name(cfg.family)
-    tally = scan_tally(fam, cfg.B, cfg.S, threads=cfg.threads)
-    _taint_check(tally.tainted_count, tally.point_count)
-    th = tau_histogram(tally)
+    th = tau_histogram(scan_tally(fam, cfg.B, cfg.S, threads=cfg.threads))
+    _taint_check(th.tainted_count, th.point_count)
+    masses = th.masses
     rows = [
-        ("tau", j, th.counts[j], th.masses[j].numerator, th.masses[j].denominator)
+        ("tau", j, th.counts[j], masses[j].numerator, masses[j].denominator)
         for j in sorted(th.counts)
     ]
     meta = {
@@ -483,7 +480,7 @@ def _run_tau(cfg: RunConfig):
         "point_count": th.point_count,
         "singular_count": th.singular_count,
         "tainted_count": th.tainted_count,
-        "mass_sum": repr(float(sum(th.masses.values()))),
+        "mass_sum": repr(float(sum(masses.values()))),
     }
     out = [
         f"tau({j}) = {th.counts[j]}/{th.point_count}" for j in sorted(th.counts)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +41,6 @@ from .projective import clear_imprimitive, count_points, enumerate_points, lead_
 
 __all__ = [
     "RecordSet",
-    "ScanSummary",
-    "ScanTally",
     "MomentReport",
     "TauHistogram",
     "TruncationWindow",
@@ -91,10 +90,33 @@ CLASSIC_OMEGA = _SigmaFamily("classic_omega", 1, lambda ps: (np.ones_like(ps), p
 
 
 @dataclass(frozen=True)
-class ScanSummary:
-    point_count: int
-    singular_count: int
+class TauHistogram:
+    """Exact distribution of the obstruction count over one scan.
+
+    counts[j] is the number of untainted smooth-fibre points with
+    omega = j, nonzero counts only; every other point is tainted or
+    singular, so the counts and the two counters partition point_count.
+    masses are fractions of all enumerated points, so the masses plus the
+    singular and tainted fractions partition 1 exactly.
+    """
+
+    B: int
+    counts: dict[int, int]
     tainted_count: int
+    singular_count: int
+    point_count: int
+
+    def __post_init__(self):
+        if sum(self.counts.values()) + self.tainted_count + self.singular_count != self.point_count:
+            raise ValueError("partition identity violated")
+
+    @property
+    def untainted_count(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def masses(self) -> dict[int, Fraction]:
+        return {j: Fraction(c, self.point_count) for j, c in self.counts.items()}
 
 
 @dataclass
@@ -133,9 +155,6 @@ class RecordSet:
     @property
     def tainted_count(self) -> int:
         return int(self.tainted.sum())
-
-    def summary(self) -> ScanSummary:
-        return ScanSummary(self.point_count, self.singular_count, self.tainted_count)
 
     def truncate_height(self, limit: int) -> "RecordSet":
         """Rows with height <= limit, as a set with bound `limit`.
@@ -197,8 +216,9 @@ def _usable(rs: RecordSet) -> tuple[np.ndarray, np.ndarray]:
 def scan(family: FamilyDescriptor, B: int, S=(INF,)):
     """Every smooth fibre of height <= B, one ObstructionRecord each.
 
-    Returns (records, ScanSummary).  Singular fibres are counted, not
-    recorded; an undecided place taints its record rather than aborting.
+    Returns (records, TauHistogram), the histogram counting the untainted
+    records per omega.  Singular fibres are counted, not recorded; an
+    undecided place taints its record rather than aborting.
     Deterministic given (family, B, S).  Meant for small B; record_set
     holds the vectorized large-B path.  The columnar reductions take the
     records through RecordSet.from_records.
@@ -214,8 +234,9 @@ def scan(family: FamilyDescriptor, B: int, S=(INF,)):
             singular += 1
             continue
         records.append(omega_pi(family, pt, S))
-    tainted = sum(1 for r in records if r.tainted)
-    return records, ScanSummary(points, singular, tainted)
+    counts = Counter(r.omega for r in records if not r.tainted)
+    tainted = len(records) - sum(counts.values())
+    return records, TauHistogram(B, dict(counts), tainted, singular, points)
 
 
 class _PlaceGrids:
@@ -350,30 +371,6 @@ def record_set(family: FamilyDescriptor, B: int, S=(INF,)) -> RecordSet:
     )
 
 
-@dataclass(frozen=True)
-class ScanTally:
-    """The per-j counts of one exhaustive scan, with no row kept.
-
-    counts[j] is the number of untainted smooth-fibre points with omega = j
-    (no trailing zero); every point counts there, as tainted or as
-    singular, so the four fields partition point_count.
-    """
-
-    B: int
-    counts: tuple[int, ...]
-    tainted_count: int
-    singular_count: int
-    point_count: int
-
-    def __post_init__(self):
-        if sum(self.counts) + self.tainted_count + self.singular_count != self.point_count:
-            raise ValueError("partition identity violated")
-
-    @property
-    def untainted_count(self) -> int:
-        return sum(self.counts)
-
-
 # bytes per tail-grid cell charged for each walking thread.  Under
 # tracemalloc a lead's walk held about 5 (its keep mask, omega and taint
 # grids and two bool temporaries) and warm's decision of one key up to 11
@@ -399,15 +396,16 @@ def _tally_leads(places: _PlaceGrids, leads: range) -> tuple[np.ndarray, int, in
     return counts, tainted, rows
 
 
-def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> ScanTally:
-    """Exhaustive scan of all points of height <= B, tallied per omega.
+def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> TauHistogram:
+    """Exhaustive scan of all points of height <= B, as its TauHistogram.
 
     The same leads and places as record_set, but each lead's rows are
     counted at once (the untainted ones per omega, the tainted ones in
-    all), so no per-point column is allocated.  The leads are split over
+    all), so no per-point column is allocated; the histogram equals
+    tau_histogram(record_set(family, B, S)).  The leads are split over
     workers = min(threads, B) pool tasks, task w taking the leads
     w + 1, w + 1 + workers, ... and summing its own counts; integer sums
-    do not depend on order, so the tally is identical for any thread
+    do not depend on order, so the histogram is identical for any thread
     count.  Every verdict mask is built by _PlaceGrids on the calling
     thread before the tasks start, and the tasks only read them.  A scan
     whose per-thread grids and kept verdict masks exceed physical memory
@@ -422,12 +420,10 @@ def scan_tally(family: FamilyDescriptor, B: int, S=(INF,), threads: int = 1) -> 
     strides = [range(w + 1, B + 1, workers) for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(functools.partial(_tally_leads, places), strides))
-    counts = sum(p[0] for p in parts).tolist()
-    while counts and not counts[-1]:
-        counts.pop()
+    counts = {j: c for j, c in enumerate(sum(p[0] for p in parts).tolist()) if c}
     tainted, rows = sum(p[1] for p in parts), sum(p[2] for p in parts)
     size = count_points(n, B)
-    return ScanTally(B, tuple(counts), tainted, size - rows, size)
+    return TauHistogram(B, counts, tainted, size - rows, size)
 
 
 def _sample_chunk(family, B, want, seed_seq):
@@ -902,74 +898,42 @@ def truncated_moments(
 # the exact histogram
 
 
-@dataclass(frozen=True)
-class TauHistogram:
-    """Exact distribution of the obstruction count over one scan.
+def tau_histogram(records) -> TauHistogram:
+    """Histogram of omega over untainted smooth fibres, exact.
 
-    masses are fractions of all enumerated points, so the masses plus the
-    singular and tainted fractions partition 1 exactly.
+    records is a TauHistogram, returned as it is, or a RecordSet, whose
+    untainted omegas are binned; the bound and the counters come from it.
     """
-
-    B: int
-    counts: dict[int, int]
-    masses: dict[int, Fraction]
-    tainted_count: int
-    singular_count: int
-    point_count: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) + self.tainted_count + self.singular_count != self.point_count:
-            raise ValueError("partition identity violated")
-        for j, c in self.counts.items():
-            if self.masses.get(j) != Fraction(c, self.point_count):
-                raise ValueError("masses must be counts over the point count")
-
-
-def _as_tally(records) -> ScanTally:
-    """A ScanTally as it is; a RecordSet's untainted omegas binned into one."""
-    if isinstance(records, ScanTally):
+    if isinstance(records, TauHistogram):
         return records
     om = np.asarray(records.omegas)
     # an integer column needs no check and no copy
     if om.dtype.kind not in "iu" and not np.array_equal(om, np.round(om)):
         raise ValueError("histogram needs integer counts")
     binned = np.bincount(om.astype(np.int64, copy=False)[~np.asarray(records.tainted, bool)])
-    return ScanTally(
+    return TauHistogram(
         int(records.B),
-        tuple(binned.tolist()),
+        {j: c for j, c in enumerate(binned.tolist()) if c},
         records.tainted_count,
         records.singular_count,
         records.point_count,
     )
 
 
-def tau_histogram(records) -> TauHistogram:
-    """Histogram of omega over untainted smooth fibres, exact fractions.
-
-    records is a ScanTally or a RecordSet, whose rows are binned first;
-    the bound and the singular count come from it.
-    """
-    tally = _as_tally(records)
-    total = tally.point_count
-    counts = {j: c for j, c in enumerate(tally.counts) if c}
-    masses = {j: Fraction(c, total) for j, c in counts.items()}
-    return TauHistogram(tally.B, counts, masses, tally.tainted_count, tally.singular_count, total)
-
-
 def n_moments(records, r: int) -> Fraction:
     """Average of omega^r over untainted smooth fibres, exact.
 
-    records is a ScanTally or a RecordSet.  Equals sum_j j^r tau(j)
-    rescaled by point_count/untainted_count, since the histogram masses are
-    taken over all enumerated points.
+    records is a TauHistogram or a RecordSet, read through tau_histogram.
+    Equals sum_j j^r tau(j) rescaled by point_count/untainted_count, since
+    the histogram masses are taken over all enumerated points.
     """
     if r < 1 or int(r) != r:
         raise ValueError("moment order must be a positive integer")
-    tally = _as_tally(records)
-    if tally.untainted_count == 0:
+    th = tau_histogram(records)
+    if th.untainted_count == 0:
         raise ValueError("no untainted records")
     # power sum in exact integers
-    return Fraction(sum(c * j**r for j, c in enumerate(tally.counts)), tally.untainted_count)
+    return Fraction(sum(c * j**r for j, c in th.counts.items()), th.untainted_count)
 
 
 # ---------------------------------------------------------------------------

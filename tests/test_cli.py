@@ -20,7 +20,7 @@ from fibstat.arith import SizeRefused
 from fibstat.cli import RunConfig, main, read_report
 from fibstat.families import SigmaTable, conic_sigma_formula
 from fibstat.projective import count_points
-from fibstat.stats import RecordSet, ScanTally
+from fibstat.stats import RecordSet, TauHistogram
 
 
 def run_cli(tmp_path, *args):
@@ -223,7 +223,7 @@ def test_tau_taint_ceiling_exit(tmp_path, monkeypatch, capsys):
     def fake_scan_tally(family, B, S=(), threads=1):
         n = 1000
         tainted = 5  # 0.5% tainted, above the 0.1% ceiling
-        return ScanTally(B, (n - tainted,), tainted, 0, n)
+        return TauHistogram(B, {0: n - tainted}, tainted, 0, n)
 
     monkeypatch.setattr(cli, "scan_tally", fake_scan_tally)
     code, _ = run_cli(tmp_path, "tau", "--B", "10")
@@ -315,6 +315,40 @@ def test_baseline_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(blob).hexdigest() == (
         "f81715e8dc6025daa7fb74a998b1289294010573ab3477f457bc6dbd0164f62e"
     )
+
+
+_TAU_CUBICS_12 = (
+    "--family", "diagonal-cubics", "--B", "12", "--prime-cutoff", "13", "--sample-size", "400",
+    "--seed", "2",
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, digest", [
+    (("--B", "30", "--S", ""), "766e28685259b73aa275ddca77a43997bc2be3a5cbddb666b2f8f01dbde29943"),
+    (_TAU_CUBICS_12, "f47eacf6b1baad56a6c90cf7ff89eca83381227369e62cc0774ee5555c9d3edf"),
+])
+def test_tau_report_bytes_are_pinned(tmp_path, argv, digest, threads):
+    # the count and mass rows, the meta line and the prediction floats keep
+    # their bytes at every thread count
+    code, out = run_cli(tmp_path, "tau", *argv, "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "run.tau.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("row, edited, match", [
+    ("tau,1,4992,312,11107", "tau,1,4992,313,11107", "masses must be counts over the point count"),
+    ("tau,1,4992,312,11107", "tau,1,4991,312,11107", "partition identity violated"),
+])
+def test_tau_reader_refuses_edited_rows(tmp_path, row, edited, match):
+    code, out = run_cli(tmp_path, "tau", *_TAU_CUBICS_12)
+    assert code == 0
+    text = (tmp_path / "run.tau.csv").read_text()
+    assert text.count(row) == 1
+    copy = tmp_path / "edited.tau.csv"
+    copy.write_text(text.replace(row, edited))
+    with pytest.raises(ValueError, match=match):
+        read_report(str(copy))
 
 
 def test_baseline_refuses_columns_above_physical_memory(tmp_path, capsys):

@@ -33,8 +33,7 @@ from fibstat.stats import (
     CLASSIC_OMEGA,
     MomentReport,
     RecordSet,
-    ScanSummary,
-    ScanTally,
+    TauHistogram,
     TruncationWindow,
     build_sigma_table,
     classic_omega_set,
@@ -88,7 +87,7 @@ def _assert_same_columns(via_scan, fast):
     for col in ("omegas", "heights", "tainted"):
         want, got = getattr(via_scan, col), getattr(fast, col)
         assert got.dtype == want.dtype and np.array_equal(got, want), col
-    assert via_scan.summary() == fast.summary()
+    assert tau_histogram(via_scan) == tau_histogram(fast)
 
 
 def test_vectorized_conic_route_matches_scalar():
@@ -97,6 +96,7 @@ def test_vectorized_conic_route_matches_scalar():
         records, summary = scan(CONICS, 12, S)
         via_scan = RecordSet.from_records(records, CONICS, 12, S, summary.singular_count)
         _assert_same_columns(via_scan, record_set(CONICS, 12, S))
+        assert summary == _tally_against_columns(CONICS, 12, S)
 
 
 def test_vectorized_cubic_route_matches_scalar():
@@ -109,6 +109,7 @@ def test_vectorized_cubic_route_matches_scalar():
         via_scan = RecordSet.from_records(records, CUBICS, 9, S, summary.singular_count)
         fast = record_set(CUBICS, 9, S)
         _assert_same_columns(via_scan, fast)
+        assert summary == _tally_against_columns(CUBICS, 9, S)
         assert fast.tainted_count == 0
         obstructed.append(int(fast.omegas.sum()))
     assert obstructed[0] > obstructed[1]
@@ -191,7 +192,9 @@ def test_record_set_partition():
     assert rs.point_count == count_points(2, 10)
     assert rs.point_count == len(rs.omegas) + rs.singular_count
     assert rs.untainted_count + rs.tainted_count == len(rs.omegas)
-    assert rs.summary() == ScanSummary(rs.point_count, rs.singular_count, 0)
+    th = tau_histogram(rs)
+    assert (th.point_count, th.singular_count) == (rs.point_count, rs.singular_count)
+    assert th.tainted_count == 0
 
 
 def test_record_set_refuses_columns_above_physical_memory():
@@ -204,15 +207,9 @@ def test_record_set_refuses_columns_above_physical_memory():
 def _tally_against_columns(family, B, S=(INF,)):
     # scan_tally holds what tau_histogram bins from record_set's columns
     tally = scan_tally(family, B, S)
-    th = tau_histogram(record_set(family, B, S))
-    assert {j: c for j, c in enumerate(tally.counts) if c} == th.counts
-    assert tally.tainted_count == th.tainted_count
-    assert tally.singular_count == th.singular_count
-    assert tally.point_count == th.point_count
-    assert sum(tally.counts) + tally.tainted_count + tally.singular_count == count_points(
-        family.n, B
-    )
-    assert tau_histogram(tally) == th
+    assert tally == tau_histogram(record_set(family, B, S))
+    assert tally.point_count == count_points(family.n, B)
+    assert tau_histogram(tally) is tally
     return tally
 
 
@@ -296,7 +293,7 @@ def test_scan_tally_validation():
     with pytest.raises(ValueError):
         scan_tally(CONICS, 10, threads=0)
     with pytest.raises(ValueError, match="partition"):
-        ScanTally(10, (3, 1), 0, 1, 6)
+        TauHistogram(10, {0: 3, 1: 1}, 0, 1, 6)
 
 
 @pytest.mark.parametrize("family, B, threads", [(CONICS, 3, 8), (CUBICS, 4, 7)])
